@@ -35,7 +35,6 @@ from .special import (
     BernoulliTable,
     bernoulli_gen_fn,
     bernoulli_numbers,
-    euler_gamma,
     harmonic,
     solve_kappa,
     trigamma,

@@ -18,16 +18,19 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .error_model import observed_error, predicted_error
-from .exceptions import (
-    AbelRadiusError,
-    DomainError,
-    NumericError,
-    SeriesFormatError,
-)
+# predicted_error is not called here, but bench/spans.py wraps it under
+# this module's name, so the binding stays.
+from .error_model import observed_error, predicted_error  # noqa: F401
+from .exceptions import AbelRadiusError, DomainError, SeriesFormatError
 from .series import CATALOG_NAMES, catalog_lookup, load_custom
-from .special import solve_kappa
-from .summation import abel_estimate, cesaro_mean, chi_sweep, euler_transform
+from .special import bernoulli_gen_fn, solve_kappa
+from .summation import (
+    abel_estimate,
+    cesaro_mean,
+    chi_sum,
+    chi_sweep,
+    euler_transform,
+)
 from .weights import averaging_row, chi_row, verify_toeplitz
 
 EXIT_OK = 0
@@ -38,7 +41,17 @@ EXIT_NUMERIC = 4
 _TABLE_DEFAULT_N = (20, 25, 30)
 _TABLE_DEFAULT_X = (-1.0, -0.7, -0.2, 0.0, 0.2, 0.7, 1.0)
 _ABEL_DEFAULT_RADII = (0.9, 0.99, 0.999)
-_COMPARE_METHODS = ("cesaro", "euler", "abel")
+
+# Classical methods for --compare, each evaluated at the last grid order.
+# The lambdas look the functions up when called, so wrappers installed on
+# this module's names see the calls.
+_COMPARE = {
+    "cesaro": lambda spec, n: cesaro_mean(spec, n),
+    "euler": lambda spec, n: euler_transform(spec, n),
+    "abel": lambda spec, n: abel_estimate(
+        spec, _ABEL_DEFAULT_RADII, extrapolate=True
+    ),
+}
 
 
 def _emit(record: dict, fmt: str, out) -> None:
@@ -116,17 +129,18 @@ def _resolve_series(args):
         if not args.file:
             raise DomainError("custom series needs --file")
         return load_custom(args.file)
-    params = {}
-    if args.x is not None:
-        params["x"] = args.x
-    return catalog_lookup(args.series, **params)
+    return catalog_lookup(args.series, x=args.x)
 
 
 def _cmd_sum(args, out) -> int:
-    spec = _resolve_series(args)
-    grid = _parse_grid(args.n_grid) if args.n_grid else (args.n,)
+    methods = [m for m in args.compare.split(",") if m]
+    unknown = [m for m in methods if m not in _COMPARE]
+    if unknown:
+        raise DomainError(f"unknown comparison methods {unknown}")
     if args.n is None and not args.n_grid:
         raise DomainError("need --n or --n-grid")
+    spec = _resolve_series(args)
+    grid = _parse_grid(args.n_grid) if args.n_grid else (args.n,)
     result = chi_sweep(spec, grid, accelerate=args.accelerate)
     n_last = grid[-1]
 
@@ -142,22 +156,11 @@ def _cmd_sum(args, out) -> int:
         results["predicted_error"] = result.error.predicted
         if result.error.ratio is not None:
             results["error_ratio"] = result.error.ratio
-
-    compare = {}
-    for method in args.compare:
+    for method in methods:
         try:
-            if method == "cesaro":
-                compare["cesaro"] = cesaro_mean(spec, n_last)
-            elif method == "euler":
-                compare["euler"] = euler_transform(spec, n_last)
-            elif method == "abel":
-                compare["abel"] = abel_estimate(
-                    spec, _ABEL_DEFAULT_RADII, extrapolate=True
-                )
+            results[method] = _COMPARE[method](spec, n_last)
         except AbelRadiusError as exc:
-            compare[method] = None
             results[f"{method}_error"] = str(exc)
-    results.update({k: v for k, v in compare.items() if v is not None})
 
     record = {
         "command": "sum",
@@ -178,9 +181,6 @@ def _cmd_sum(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    from .special import bernoulli_gen_fn
-    from .summation import chi_sum
-
     n_list = _parse_grid(args.n_list) if args.n_list else _TABLE_DEFAULT_N
     x_list = _parse_floats(args.x_list) if args.x_list else _TABLE_DEFAULT_X
     if any(n > 60 for n in n_list):
@@ -237,23 +237,23 @@ def _cmd_weights(args, out) -> int:
 
 
 def _cmd_error(args, out) -> int:
-    from .summation import chi_sum
-
     spec = _resolve_series(args)
     if spec.second_derivative is None or spec.x is None:
         raise DomainError(
             f"series {args.series!r} carries no closed-form second "
             "derivative; the predictor is unavailable"
         )
-    predicted = predicted_error(spec.second_derivative, spec.x, spec.x0, args.n)
-    results = {"predicted_error": predicted, "n": args.n}
-    approximant = chi_sum(spec, args.n)
-    results["approximant"] = approximant
-    if spec.exact_value is not None:
-        obs = observed_error(approximant, spec.exact_value)
-        results["observed_error"] = obs
-        if predicted != 0.0:
-            results["ratio"] = obs / predicted
+    result = chi_sweep(spec, (args.n,))
+    err = result.error
+    results = {
+        "predicted_error": err.predicted,
+        "n": args.n,
+        "approximant": result.approximants[0],
+    }
+    if err.observed is not None:
+        results["observed_error"] = err.observed
+    if err.ratio is not None:
+        results["ratio"] = err.ratio
     record = {
         "command": "error",
         "inputs": {
@@ -273,6 +273,20 @@ def _add_series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", default=None, help="custom series JSON file")
 
 
+def _add_sum_parser(sub, name: str, help: str, compare: str) -> None:
+    p = sub.add_parser(name, help=help)
+    _add_series_args(p)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n-grid", default=None, help="comma-separated orders")
+    p.add_argument("--accelerate", action="store_true")
+    p.add_argument(
+        "--compare",
+        default=compare,
+        help=f"comma-separated classical methods from {tuple(_COMPARE)}",
+    )
+    p.set_defaults(handler=_cmd_sum)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chisum",
@@ -282,49 +296,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text"
     )
     parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized property harnesses (accepted for "
-        "reproducibility; the shipped subcommands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sum = sub.add_parser("sum", help="chi-sum a series")
-    _add_series_args(p_sum)
-    p_sum.add_argument("--n", type=int, default=None)
-    p_sum.add_argument("--n-grid", default=None, help="comma-separated orders")
-    p_sum.add_argument("--accelerate", action="store_true")
-    p_sum.add_argument(
-        "--compare",
-        default="",
-        help=f"comma-separated classical methods from {_COMPARE_METHODS}",
+    _add_sum_parser(sub, "sum", "chi-sum a series", compare="")
+    _add_sum_parser(
+        sub,
+        "compare",
+        "chi-sum with all classical comparison methods",
+        compare=",".join(_COMPARE),
     )
-
-    p_cmp = sub.add_parser(
-        "compare", help="chi-sum with all classical comparison methods"
-    )
-    _add_series_args(p_cmp)
-    p_cmp.add_argument("--n", type=int, default=None)
-    p_cmp.add_argument("--n-grid", default=None)
-    p_cmp.add_argument("--accelerate", action="store_true")
-    p_cmp.add_argument("--compare", default=",".join(_COMPARE_METHODS))
 
     p_table = sub.add_parser(
         "table", help="Bernoulli power-series table against its generating fn"
     )
     p_table.add_argument("--n-list", default=None)
     p_table.add_argument("--x-list", default=None)
+    p_table.set_defaults(handler=_cmd_table)
 
-    sub.add_parser("kappa", help="summability boundary constant")
+    p_kappa = sub.add_parser("kappa", help="summability boundary constant")
+    p_kappa.set_defaults(handler=_cmd_kappa)
 
     p_w = sub.add_parser("weights", help="weight and averaging rows at order n")
     p_w.add_argument("--n", type=int, required=True)
+    p_w.set_defaults(handler=_cmd_weights)
 
     p_err = sub.add_parser("error", help="predicted vs observed error")
     _add_series_args(p_err)
     p_err.add_argument("--n", type=int, required=True)
+    p_err.set_defaults(handler=_cmd_error)
 
     return parser
 
@@ -338,31 +337,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command in ("sum", "compare"):
-            args.compare = tuple(
-                m for m in args.compare.split(",") if m
-            )
-            unknown = [m for m in args.compare if m not in _COMPARE_METHODS]
-            if unknown:
-                raise DomainError(f"unknown comparison methods {unknown}")
-            return _cmd_sum(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "kappa":
-            return _cmd_kappa(args, out)
-        if args.command == "weights":
-            return _cmd_weights(args, out)
-        if args.command == "error":
-            return _cmd_error(args, out)
-        raise DomainError(f"unknown command {args.command!r}")
+        return args.handler(args, out)
     except SeriesFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # NumericError, or a float overflow
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

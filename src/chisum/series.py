@@ -31,18 +31,6 @@ __all__ = [
     "combine",
 ]
 
-CATALOG_NAMES = (
-    "geometric",
-    "grandi",
-    "alt_harmonic_numbers",
-    "alt_log",
-    "alternating_unit",
-    "log1p_taylor",
-    "bernoulli_power",
-    "custom",
-)
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """A term stream with optional reference data.
@@ -178,43 +166,65 @@ def _custom(
     )
 
 
+# name -> (the parameters it needs, builder from the lookup's parameters)
+_CATALOG: dict[str, tuple[tuple[str, ...], Callable[[dict], SeriesSpec]]] = {
+    "geometric": (("x",), lambda p: _geometric(float(p["x"]))),
+    "grandi": ((), lambda p: _grandi()),
+    # Same term stream as the Grandi series, kept as its own name.
+    "alternating_unit": ((), lambda p: _grandi(name="alternating_unit")),
+    "alt_harmonic_numbers": ((), lambda p: _alt_harmonic_numbers()),
+    "alt_log": ((), lambda p: _alt_log()),
+    "log1p_taylor": (("x",), lambda p: _log1p_taylor(float(p["x"]))),
+    "bernoulli_power": (("x",), lambda p: _bernoulli_power(float(p["x"]))),
+    "custom": (
+        ("coefficients",),
+        lambda p: _custom(p["coefficients"], x=p.get("x"), exact=p.get("exact")),
+    ),
+}
+
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def catalog_lookup(name: str, **params) -> SeriesSpec:
     """Look up a catalog series by name.
 
     Parameterized entries take ``x``; ``custom`` takes ``coefficients``
     plus optional ``x`` and ``exact``.  Unknown names raise
-    UnknownSeriesError.  An evaluation point outside a series' validity
+    UnknownSeriesError; a missing parameter, or an x that is not finite,
+    raises DomainError.  An evaluation point outside a series' validity
     simply leaves exact_value unset; it is not an error.
     """
-    if name == "geometric":
-        return _geometric(float(params["x"]))
-    if name == "grandi":
-        return _grandi()
-    if name == "alternating_unit":
-        # Same term stream as the Grandi series, kept as its own name.
-        return _grandi(name="alternating_unit")
-    if name == "alt_harmonic_numbers":
-        return _alt_harmonic_numbers()
-    if name == "alt_log":
-        return _alt_log()
-    if name == "log1p_taylor":
-        return _log1p_taylor(float(params["x"]))
-    if name == "bernoulli_power":
-        return _bernoulli_power(float(params["x"]))
-    if name == "custom":
-        return _custom(
-            params["coefficients"],
-            x=params.get("x"),
-            exact=params.get("exact"),
-        )
-    raise UnknownSeriesError(f"unknown series {name!r}; known: {CATALOG_NAMES}")
+    if name not in _CATALOG:
+        raise UnknownSeriesError(f"unknown series {name!r}; known: {CATALOG_NAMES}")
+    needs, build = _CATALOG[name]
+    missing = [p for p in needs if params.get(p) is None]
+    if missing:
+        raise DomainError(f"series {name!r} needs {', '.join(missing)}")
+    if "x" in needs and not math.isfinite(float(params["x"])):
+        raise DomainError(f"series {name!r} needs a finite x, got {params['x']!r}")
+    return build(params)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a finite float; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SeriesFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SeriesFormatError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def load_custom(source) -> SeriesSpec:
     """Build a custom series from a JSON document.
 
     Accepts a path, a JSON string, or an already-parsed dict with keys
-    {"coefficients": [...], "x": number?, "exact": number?}.
+    {"coefficients": [...], "x": number?, "exact": number?}.  Every
+    number must be finite, and JSON true/false are not numbers; anything
+    else raises SeriesFormatError.
     """
     if isinstance(source, dict):
         doc = source
@@ -225,22 +235,26 @@ def load_custom(source) -> SeriesSpec:
         ):
             try:
                 text = Path(source).read_text()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8
                 raise SeriesFormatError(f"cannot read {source}: {exc}") from exc
         else:
             text = source
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SeriesFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "coefficients" not in doc:
         raise SeriesFormatError('custom series needs a "coefficients" list')
     coeffs = doc["coefficients"]
-    if not isinstance(coeffs, list) or not all(
-        isinstance(c, (int, float)) for c in coeffs
-    ):
+    if not isinstance(coeffs, list):
         raise SeriesFormatError('"coefficients" must be a list of numbers')
-    return _custom(coeffs, x=doc.get("x"), exact=doc.get("exact"))
+    x, exact = (
+        None if doc.get(key) is None else _number(doc[key], f'"{key}"')
+        for key in ("x", "exact")
+    )
+    return _custom(
+        [_number(c, "each coefficient") for c in coeffs], x=x, exact=exact
+    )
 
 
 def partial_sums(spec: SeriesSpec, n: int) -> PartialSums:

@@ -20,7 +20,6 @@ __all__ = [
     "trigamma",
     "bernoulli_gen_fn",
     "solve_kappa",
-    "euler_gamma",
 ]
 
 #: Euler-Mascheroni constant, rounded to double precision.
@@ -138,7 +137,3 @@ def solve_kappa(tol: float) -> float:
         k -= g / math.log(k)
     raise NumericError("kappa Newton iteration failed to converge")
 
-
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant as a double-precision literal."""
-    return EULER_GAMMA

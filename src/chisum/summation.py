@@ -4,10 +4,11 @@ comparison methods (Cesaro, Euler transform, Abel).
 
 The weighted sums are badly conditioned near the summability boundary:
 the terms grow like exp(c*n) before cancelling down to order one, which
-destroys double precision long before the method itself fails.  The
-sweep engine therefore estimates the cancellation (sum of absolute
-weighted terms over the result) and re-evaluates in extended precision
-when the series can supply extended-precision terms.
+destroys double precision long before the method itself fails.
+chi_sum, the one evaluation path that sweeps and every CLI command use,
+therefore estimates the cancellation (sum of absolute weighted terms
+over the result) and re-evaluates in extended precision when the series
+can supply extended-precision terms.
 """
 
 from __future__ import annotations
@@ -59,23 +60,6 @@ class ChiResult:
     accelerated: bool = False
 
 
-def _weighted_sum(spec: SeriesSpec, n: int) -> tuple[float, float]:
-    """Double-precision weighted sum and its absolute-term sum."""
-    w = chi_row(n).w
-    terms = []
-    for k in range(n + 1):
-        try:
-            t = w[k] * spec.term(k)
-        except OverflowError as exc:
-            raise NumericError(
-                f"non-finite weighted term at index {k}"
-            ) from exc
-        if not math.isfinite(t):
-            raise NumericError(f"non-finite weighted term at index {k}")
-        terms.append(t)
-    return math.fsum(terms), math.fsum(abs(t) for t in terms)
-
-
 def _weighted_sum_mp(spec: SeriesSpec, n: int, dps: int) -> float:
     """Extended-precision weighted sum via the series' mp_term."""
     with mpmath.workdps(dps):
@@ -87,16 +71,41 @@ def _weighted_sum_mp(spec: SeriesSpec, n: int, dps: int) -> float:
         return float(acc)
 
 
-def _evaluate(spec: SeriesSpec, n: int) -> float:
-    """chi approximant at order n, escalating precision when double
-    arithmetic cancels catastrophically."""
+def chi_sum(spec: SeriesSpec, n: int) -> float:
+    """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
+
+    Sums in double precision with compensated summation.  When a weighted
+    term is not finite, or the cancellation ratio (absolute-term sum over
+    the result) exceeds _COND_LIMIT, the sum is redone in extended
+    precision from the series' mp_term.  A series without mp_term keeps
+    its double result; for it a non-finite term raises NumericError
+    naming its index, and a sum that leaves double range raises
+    NumericError too.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    w = chi_row(n).w
+    terms = []
+    for k in range(n + 1):
+        try:
+            t = w[k] * spec.term(k)
+        except OverflowError:
+            t = math.inf
+        if not math.isfinite(t):
+            if spec.mp_term is None:
+                raise NumericError(f"non-finite weighted term at index {k}")
+            return _weighted_sum_mp(spec, n, dps=max(50, n))
+        terms.append(t)
     try:
-        value, abs_sum = _weighted_sum(spec, n)
-    except NumericError:
-        if spec.mp_term is None:
-            raise
-        return _weighted_sum_mp(spec, n, dps=max(50, n))
-    if abs_sum == 0.0 or spec.mp_term is None:
+        value = math.fsum(terms)
+        abs_sum = math.fsum(map(abs, terms))
+    except OverflowError:  # finite terms whose running sum leaves range
+        value = abs_sum = math.inf
+    if spec.mp_term is None:
+        if not math.isfinite(value):
+            raise NumericError(f"weighted sum overflows at order {n}")
+        return value
+    if abs_sum == 0.0:
         return value
     cond = abs_sum / max(abs(value), 1e-300)
     if not math.isfinite(cond) or cond > _COND_LIMIT:
@@ -108,14 +117,6 @@ def _evaluate(spec: SeriesSpec, n: int) -> float:
             dps = max(50, n)
         return _weighted_sum_mp(spec, n, dps=dps)
     return value
-
-
-def chi_sum(spec: SeriesSpec, n: int) -> float:
-    """Weighted term sum sum_{k=0..n} w(k) * a_k (first defining form),
-    in double precision with compensated summation."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    return _weighted_sum(spec, n)[0]
 
 
 def chi_limit(spec: SeriesSpec, n: int) -> float:
@@ -230,7 +231,7 @@ def chi_sweep(
         raise DomainError("empty n-grid")
     if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise DomainError("n-grid must be strictly increasing positive integers")
-    approx = tuple(_evaluate(spec, n) for n in grid)
+    approx = tuple(chi_sum(spec, n) for n in grid)
     verdict = classify_convergence(approx, grid) if len(grid) >= 3 else INCONCLUSIVE
     value = approx[-1]
     accelerated = False
@@ -285,19 +286,19 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     """Euler transform of an alternating series a_k = (-1)^k b_k.
 
     Evaluates sum_{j=0..n} (-1)^j (D^j b)(0) / 2^(j+1) with D the
-    forward difference of b_k = (-1)^k a_k.
+    forward difference of b_k = (-1)^k a_k.  Each difference row is
+    halved as it is built, so row j holds (D^j b) / 2^j: D^j b grows like
+    2^j and would overflow from j of about 1024, and halving is exact.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     b = [(-1.0 if k & 1 else 1.0) * spec.term(k) for k in range(n + 1)]
     total = 0.0
-    scale = 0.5
-    sign = 1.0
-    for j in range(n + 1):
-        total += sign * scale * b[0]
-        scale *= 0.5
+    sign = 0.5
+    for _ in range(n + 1):
+        total += sign * b[0]
         sign = -sign
-        b = [b[i + 1] - b[i] for i in range(len(b) - 1)]
+        b = [(y - x) * 0.5 for x, y in zip(b, b[1:])]
     return total
 
 

@@ -2,8 +2,11 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chisum.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from chisum.series import CATALOG_NAMES
 
 
 def run_cli(*argv):
@@ -70,6 +73,49 @@ class TestSumCommand:
         p.write_text(json.dumps({"coefficients": [0.0, 1e308], "x": 10.0}))
         code, _ = run_cli(
             "sum", "--series", "custom", "--file", str(p), "--n", "10"
+        )
+        assert code == EXIT_NUMERIC
+
+    def test_missing_x_exit_2(self):
+        code, _ = run_cli("sum", "--series", "geometric", "--n", "40")
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_nonfinite_x_exit_2(self, x):
+        code, _ = run_cli("sum", "--series", "geometric", f"--x={x}", "--n", "10")
+        assert code == EXIT_USAGE
+
+    def test_custom_non_numeric_x_exit_3(self, tmp_path):
+        p = tmp_path / "series.json"
+        p.write_text(json.dumps({"coefficients": [1.0, 1.0], "x": "abc"}))
+        code, _ = run_cli("sum", "--series", "custom", "--file", str(p), "--n", "10")
+        assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"coefficients": [1, True]},
+            {"coefficients": [1, 1], "x": False},
+            {"coefficients": [1, 1], "exact": True},
+        ],
+    )
+    def test_custom_boolean_exit_3(self, tmp_path, doc):
+        p = tmp_path / "series.json"
+        p.write_text(json.dumps(doc))
+        code, _ = run_cli("sum", "--series", "custom", "--file", str(p), "--n", "10")
+        assert code == EXIT_PARSE
+
+    def test_overflowing_sum_exit_4(self, tmp_path):
+        # Finite weighted terms whose running sum leaves double range.
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"coefficients": [1e308, 1e308]}))
+        code, _ = run_cli("sum", "--series", "custom", "--file", str(p), "--n", "5")
+        assert code == EXIT_NUMERIC
+
+    def test_overflowing_comparison_exit_4(self):
+        code, _ = run_cli(
+            "sum", "--series", "geometric", "--x", "1e10", "--n", "40",
+            "--compare", "cesaro",
         )
         assert code == EXIT_NUMERIC
 
@@ -179,6 +225,15 @@ class TestErrorCommand:
         code, _ = run_cli("error", "--series", "alt_log", "--n", "40")
         assert code == EXIT_USAGE
 
+    def test_matches_sum_near_boundary(self):
+        # Double precision cancels here (terms near 1e80, result 0.22);
+        # error and sum share the escalating evaluation.
+        argv = ("--series", "geometric", "--x", "-3.5", "--n", "400")
+        err = run_json("error", *argv)["results"]
+        value = run_json("sum", *argv)["results"]["value"]
+        assert err["approximant"] == value == 0.22198098326936083
+        assert err["observed_error"] == pytest.approx(1 / 4.5 - value, rel=1e-15)
+
 
 class TestFormats:
     def test_csv_has_header_and_rows(self):
@@ -205,3 +260,86 @@ class TestFormats:
     def test_json_is_single_document(self):
         _, text = run_cli("--format", "json", "kappa")
         json.loads(text)
+
+
+# Inputs for the CLI fuzz test.  compare, and --compare abel on
+# alt_harmonic_numbers, are left out: Abel's inner series there runs to
+# about 4e4 terms of O(k) each, about 90 s per call.
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["abc", "nan", "inf", "-inf", "", "1e400", "-3.5", "0"]),
+    st.floats().map(repr),
+)
+_ORDER_TEXT = st.integers(-2, 300).map(str)
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5)
+)
+_DOCUMENT = st.one_of(
+    st.binary(max_size=60),
+    st.recursive(
+        _JSON_SCALAR,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        max_leaves=8,
+    ).map(lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries(
+        {"coefficients": st.lists(_JSON_SCALAR, max_size=8)},
+        optional={"x": _JSON_SCALAR, "exact": _JSON_SCALAR},
+    ).map(lambda doc: json.dumps(doc).encode()),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["sum", "error", "table", "kappa", "weights"]))
+    argv = ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if command == "kappa" and draw(st.booleans()):
+        argv += ["--tol=" + draw(_NUMBER_TEXT)]
+    argv.append(command)
+    if command == "kappa":
+        return argv
+    if command == "weights":
+        return argv + ["--n", draw(_ORDER_TEXT)]
+    if command == "table":
+        if draw(st.booleans()):
+            orders = draw(st.lists(_ORDER_TEXT, min_size=1, max_size=3))
+            argv += ["--n-list", ",".join(orders)]
+        if draw(st.booleans()):
+            points = draw(st.lists(_NUMBER_TEXT, min_size=1, max_size=3))
+            argv += ["--x-list", ",".join(points)]
+        return argv
+    series = draw(st.sampled_from(CATALOG_NAMES + ("nope",)))
+    argv += ["--series", series]
+    if draw(st.booleans()):
+        argv.append("--x=" + draw(_NUMBER_TEXT))
+    if series == "custom" and draw(st.booleans()):
+        argv += ["--file", "{file}"]
+    if command == "sum" and draw(st.booleans()):
+        orders = draw(st.lists(_ORDER_TEXT, min_size=1, max_size=4))
+        argv += ["--n-grid", ",".join(orders)]
+    elif draw(st.integers(0, 9)):
+        argv += ["--n", draw(_ORDER_TEXT)]
+    if command == "sum":
+        if draw(st.booleans()):
+            argv.append("--accelerate")
+        methods = ["cesaro", "euler", "borel"]
+        if series != "alt_harmonic_numbers":
+            methods.append("abel")
+        chosen = draw(st.lists(st.sampled_from(methods), max_size=3, unique=True))
+        if chosen:
+            argv += ["--compare", ",".join(chosen)]
+    return argv
+
+
+class TestFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=_argv(), document=_DOCUMENT)
+    def test_exits_with_a_documented_code(self, tmp_path, argv, document):
+        path = tmp_path / "series.json"
+        path.write_bytes(document)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+        code = main(argv, out=io.StringIO())
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_NUMERIC)

@@ -5,6 +5,7 @@ import pytest
 
 from chisum.exceptions import DomainError, SeriesFormatError, UnknownSeriesError
 from chisum.series import (
+    CATALOG_NAMES,
     catalog_lookup,
     combine,
     load_custom,
@@ -64,6 +65,22 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(UnknownSeriesError):
             catalog_lookup("borel")
+
+    @pytest.mark.parametrize("name", ["geometric", "log1p_taylor", "bernoulli_power"])
+    def test_missing_x(self, name):
+        with pytest.raises(DomainError, match="needs x") as info:
+            catalog_lookup(name)
+        assert not isinstance(info.value, UnknownSeriesError)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_x(self, x):
+        with pytest.raises(DomainError, match="finite x"):
+            catalog_lookup("geometric", x=x)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_every_listed_name_builds(self, name):
+        spec = catalog_lookup(name, x=0.5, coefficients=[1.0])
+        assert spec.name == name
 
 
 class TestPartialSums:
@@ -176,7 +193,18 @@ class TestCustomSeries:
 
     @pytest.mark.parametrize(
         "doc",
-        ["not json at all {", '{"x": 1.0}', '{"coefficients": "nope"}'],
+        [
+            "not json at all {",
+            '{"x": 1.0}',
+            '{"coefficients": "nope"}',
+            '{"coefficients": [1, 1], "x": "abc"}',
+            '{"coefficients": [1, 1], "exact": "abc"}',
+            '{"coefficients": [1, true]}',
+            '{"coefficients": [1, 1], "x": false}',
+            '{"coefficients": [1, 1], "exact": true}',
+            '{"coefficients": [1, NaN]}',
+            '{"coefficients": [1, 1], "x": Infinity}',
+        ],
     )
     def test_malformed(self, doc):
         with pytest.raises(SeriesFormatError):

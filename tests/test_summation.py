@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,23 @@ class TestChiSum:
     def test_domain(self):
         with pytest.raises(DomainError):
             chi_sum(catalog_lookup("grandi"), 0)
+
+    @pytest.mark.parametrize("x", [-3.5, -2.0, 0.5])
+    def test_same_path_as_sweep(self, x):
+        spec = catalog_lookup("geometric", x=x)
+        assert chi_sum(spec, 400) == chi_sweep(spec, (400,)).approximants[0]
+
+    def test_escalates_when_double_cancels(self):
+        # At x=-3.5, n=400 the weighted terms reach about 1e80 and cancel
+        # to about 0.22; the reference is the same sum in 120 digits.
+        x, n = -3.5, 400
+        with mpmath.workdps(120):
+            w, ref = mpmath.mpf(1), mpmath.mpf(1)
+            for k in range(1, n + 1):
+                w *= mpmath.mpf(n - k + 1) / n
+                ref += w * mpmath.mpf(x) ** k
+        got = chi_sum(catalog_lookup("geometric", x=x), n)
+        assert got == pytest.approx(float(ref), rel=1e-14)
 
 
 class TestDefinitionEquivalence:
@@ -259,6 +277,14 @@ class TestEulerTransform:
         assert euler_transform(
             catalog_lookup("geometric", x=0.5), 60
         ) == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1100, 2000])
+    @pytest.mark.parametrize("name", ["alt_log", "alt_harmonic_numbers"])
+    def test_no_overflow_past_1024(self, name, n):
+        # Unscaled forward differences grow like 2^j and overflow past
+        # j of about 1024.
+        spec = catalog_lookup(name)
+        assert abs(euler_transform(spec, n) - spec.exact_value) <= 1e-12
 
 
 class TestAbel:
