@@ -18,6 +18,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
+# Unused, but bench/run.py::cli_probe times this import under chisum.cli.
+import mpmath  # noqa: F401
+
 # predicted_error is not called here, but bench/spans.py wraps it under
 # this module's name, so the binding stays.
 from .error_model import observed_error, predicted_error  # noqa: F401

@@ -4,8 +4,8 @@ plus user-supplied coefficient series.
 A SeriesSpec bundles the term function a_k with whatever reference data
 is known for it: an exact value (limit or antilimit), the second
 derivative of the generating function at the evaluation point (for the
-asymptotic error predictor), and an optional extended-precision term
-evaluator used by the sweep engine when double precision cancels out.
+asymptotic error predictor), and, when every term is rational, the
+exact form the summation engine uses when double precision cancels out.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import mpmath
-
 from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError
-from .special import bernoulli_numbers, harmonic
+from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic
 
 __all__ = [
     "SeriesSpec",
@@ -38,7 +37,8 @@ class SeriesSpec:
     term(k) must be total for all k >= 0 within the series' declared
     domain.  exact_value, when present, is the sanctioned assignment
     (ordinary limit or antilimit).  second_derivative is f''(x) of the
-    generating function, used by the error predictor.
+    generating function, used by the error predictor.  rational, when
+    present, holds parts (x, c) with a_k = sum c(k) * x**k, c(k) rational.
     """
 
     name: str
@@ -47,8 +47,8 @@ class SeriesSpec:
     second_derivative: Optional[float] = None
     x: Optional[float] = None
     x0: float = 0.0
-    mp_term: Optional[Callable[[int], "mpmath.mpf"]] = field(
-        default=None, repr=False
+    rational: Optional[tuple[tuple[float, Callable[[int], Fraction]], ...]] = (
+        field(default=None, repr=False)
     )
     asymptotic_only: bool = False
 
@@ -61,14 +61,13 @@ class PartialSums:
 
 
 def _geometric(x: float) -> SeriesSpec:
-    xm = mpmath.mpf(x)
     return SeriesSpec(
         name="geometric",
         term=lambda k: x**k,
         exact_value=1.0 / (1.0 - x) if x < 1.0 else None,
         second_derivative=2.0 / (1.0 - x) ** 3 if x != 1.0 else None,
         x=x,
-        mp_term=lambda k: xm**k,
+        rational=((x, lambda k: 1),),
     )
 
 
@@ -80,7 +79,7 @@ def _grandi(name: str = "grandi") -> SeriesSpec:
         exact_value=0.5,
         second_derivative=0.25,
         x=-1.0,
-        mp_term=lambda k: mpmath.mpf(-1 if k & 1 else 1),
+        rational=((-1.0, lambda k: 1),),
     )
 
 
@@ -106,27 +105,17 @@ def _log1p_taylor(x: float) -> SeriesSpec:
             return 0.0
         return (-(x**k) if k & 1 == 0 else x**k) / k
 
-    xm = mpmath.mpf(x)
-
-    def mp_term(k: int) -> "mpmath.mpf":
-        if k == 0:
-            return mpmath.mpf(0)
-        t = xm**k / k
-        return -t if k & 1 == 0 else t
-
     return SeriesSpec(
         name="log1p_taylor",
         term=term,
         exact_value=math.log1p(x) if x > -1.0 else None,
         second_derivative=-1.0 / (1.0 + x) ** 2 if x != -1.0 else None,
         x=x,
-        mp_term=mp_term,
+        rational=((x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0),),
     )
 
 
 def _bernoulli_power(x: float) -> SeriesSpec:
-    from .special import bernoulli_gen_fn
-
     table = bernoulli_numbers(60)
 
     def term(k: int) -> float:
@@ -163,6 +152,7 @@ def _custom(
         term=term,
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
+        rational=((xv, lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0),),
     )
 
 
@@ -277,7 +267,8 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
     """Termwise linear combination of series.
 
     The exact value is the same combination when every input carries
-    one; otherwise it is left unset.
+    one, and so is the rational form (the inputs' parts scaled by finite
+    coefficients); otherwise each is left unset.
     """
     if len(specs) != len(coefficients):
         raise DomainError(
@@ -294,15 +285,18 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
     if all(s.exact_value is not None for s in specs):
         exact = math.fsum(c * s.exact_value for c, s in pairs)
 
-    mp_term = None
-    if all(s.mp_term is not None for s in specs):
-        def mp_term(k: int) -> "mpmath.mpf":
-            return mpmath.fsum(mpmath.mpf(c) * s.mp_term(k) for c, s in pairs)
+    rational = None
+    if all(s.rational for s in specs) and all(map(math.isfinite, coefficients)):
+        rational = tuple(
+            (x, lambda k, f=Fraction(c), part=part: f * part(k))
+            for c, s in pairs
+            for x, part in s.rational
+        )
 
     return SeriesSpec(
         name="combined(" + ",".join(s.name for s in specs) + ")",
         term=term,
         exact_value=exact,
-        mp_term=mp_term,
+        rational=rational,
         asymptotic_only=any(s.asymptotic_only for s in specs),
     )

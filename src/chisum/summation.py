@@ -7,8 +7,9 @@ the terms grow like exp(c*n) before cancelling down to order one, which
 destroys double precision long before the method itself fails.
 chi_sum, the one evaluation path that sweeps and every CLI command use,
 therefore estimates the cancellation (sum of absolute weighted terms
-over the result) and re-evaluates in extended precision when the series
-can supply extended-precision terms.
+over the result) and, when the series has a rational form, redoes the
+sum exactly in integers: the weights (n)_k / n**k are rational, so S_n
+is a rational number, rounded to double once at the end.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import mpmath
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
 from .exceptions import AbelRadiusError, DomainError, NumericError
@@ -44,7 +43,7 @@ DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 
 # Cancellation ratio above which a double-precision weighted sum has lost
-# roughly half its digits and is re-evaluated in extended precision.
+# roughly half its digits and is redone exactly.
 _COND_LIMIT = 1e8
 
 
@@ -60,15 +59,28 @@ class ChiResult:
     accelerated: bool = False
 
 
-def _weighted_sum_mp(spec: SeriesSpec, n: int, dps: int) -> float:
-    """Extended-precision weighted sum via the series' mp_term."""
-    with mpmath.workdps(dps):
-        w = mpmath.mpf(1)
-        acc = spec.mp_term(0)
-        for k in range(1, n + 1):
-            w *= 1 - mpmath.mpf(k - 1) / n
-            acc += w * spec.mp_term(k)
-        return float(acc)
+def _exact_sum(spec: SeriesSpec, n: int) -> float:
+    """S_n from the series' rational form in Python ints, rounded once.
+
+    A part (x, c), with x = p/q and L the lcm of the denominators of
+    c(0..n), is A / (L * (n*q)**n), built by the Horner step
+    A <- A*n*q + L*c(k)*(n)_k*p**k.  The final int / int rounds correctly.
+    """
+    num, den = 0, 1
+    for x, c in spec.rational:
+        p, q = x.as_integer_ratio()
+        coeffs = [c(k) for k in range(n + 1)]
+        lcm = math.lcm(*(ck.denominator for ck in coeffs))
+        acc, u, step = 0, lcm, n * q  # u = L * (n)_k * p**k
+        for k, ck in enumerate(coeffs):
+            acc = acc * step + ck.numerator * (u // ck.denominator)
+            u *= (n - k) * p
+        scale = lcm * step**n
+        num, den = num * scale + acc * den, den * scale
+    try:
+        return num / den
+    except OverflowError:
+        raise NumericError(f"weighted sum overflows at order {n}") from None
 
 
 def chi_sum(spec: SeriesSpec, n: int) -> float:
@@ -76,11 +88,10 @@ def chi_sum(spec: SeriesSpec, n: int) -> float:
 
     Sums in double precision with compensated summation.  When a weighted
     term is not finite, or the cancellation ratio (absolute-term sum over
-    the result) exceeds _COND_LIMIT, the sum is redone in extended
-    precision from the series' mp_term.  A series without mp_term keeps
-    its double result; for it a non-finite term raises NumericError
-    naming its index, and a sum that leaves double range raises
-    NumericError too.
+    the result) exceeds _COND_LIMIT, the sum is redone exactly from the
+    series' rational form.  A series without one keeps its double
+    result; for it a non-finite term raises NumericError naming its
+    index.  A sum that leaves double range raises NumericError.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -92,30 +103,20 @@ def chi_sum(spec: SeriesSpec, n: int) -> float:
         except OverflowError:
             t = math.inf
         if not math.isfinite(t):
-            if spec.mp_term is None:
+            if spec.rational is None:
                 raise NumericError(f"non-finite weighted term at index {k}")
-            return _weighted_sum_mp(spec, n, dps=max(50, n))
+            return _exact_sum(spec, n)
         terms.append(t)
     try:
         value = math.fsum(terms)
         abs_sum = math.fsum(map(abs, terms))
     except OverflowError:  # finite terms whose running sum leaves range
         value = abs_sum = math.inf
-    if spec.mp_term is None:
-        if not math.isfinite(value):
-            raise NumericError(f"weighted sum overflows at order {n}")
-        return value
-    if abs_sum == 0.0:
-        return value
-    cond = abs_sum / max(abs(value), 1e-300)
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        # Size the working precision from the absolute-term sum so it does
-        # not depend on the (already corrupted) double-precision value.
-        if math.isfinite(abs_sum):
-            dps = 25 + max(0, int(math.log10(abs_sum)))
-        else:
-            dps = max(50, n)
-        return _weighted_sum_mp(spec, n, dps=dps)
+    well_conditioned = math.isfinite(value) and abs_sum <= _COND_LIMIT * abs(value)
+    if spec.rational is not None and not well_conditioned:
+        return _exact_sum(spec, n)
+    if not math.isfinite(value):
+        raise NumericError(f"weighted sum overflows at order {n}")
     return value
 
 
@@ -328,10 +329,8 @@ def abel_estimate(
         for k in range(10**6):
             try:
                 t = spec.term(k) * rk
-            except OverflowError as exc:
-                raise AbelRadiusError(
-                    f"inner series overflowed at radius {r} (term {k})"
-                ) from exc
+            except OverflowError:
+                t = math.inf
             if not math.isfinite(t):
                 raise AbelRadiusError(
                     f"inner series overflowed at radius {r} (term {k})"

@@ -119,6 +119,16 @@ class TestSumCommand:
         )
         assert code == EXIT_NUMERIC
 
+    def test_custom_cancelling_sum(self, tmp_path):
+        # The double sum of this series cancels to 1.13e9; S_300 is 0.3328.
+        p = tmp_path / "ones.json"
+        p.write_text(json.dumps({"coefficients": [1.0] * 600, "x": -2.0}))
+        code, text = run_cli(
+            "sum", "--series", "custom", "--file", str(p), "--n", "300"
+        )
+        assert code == EXIT_OK
+        assert "value = 0.33283950780099497\n" in text
+
     def test_custom_file(self, tmp_path):
         p = tmp_path / "series.json"
         p.write_text(json.dumps({"coefficients": [1.0, 0.0], "exact": 1.0}))

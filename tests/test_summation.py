@@ -1,13 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chisum
 from chisum.exceptions import AbelRadiusError, DomainError, NumericError
-from chisum.series import catalog_lookup, combine, partial_sums
+from chisum.series import catalog_lookup, combine, load_custom, partial_sums
 from chisum.summation import (
     CONVERGED,
     DIVERGING,
@@ -41,9 +46,26 @@ class TestChiSum:
         assert chi_sum(catalog_lookup("geometric", x=0.0), 5) == 1.0
 
     def test_nonfinite_term_names_index(self):
-        bad = catalog_lookup("custom", coefficients=[0.0, 1e308], x=10.0)
+        # alt_log has no rational form, so neither has the combination,
+        # and the overflowing term at k=1 cannot be redone exactly.
+        huge = catalog_lookup("custom", coefficients=[0.0, 1e308], x=10.0)
+        bad = combine([catalog_lookup("alt_log"), huge], [0.0, 1.0])
         with pytest.raises(NumericError, match="index 1"):
             chi_sum(bad, 5)
+
+    def test_exact_result_out_of_range(self):
+        # The exact sum is w_1 * 1e309, which no double can hold.
+        huge = catalog_lookup("custom", coefficients=[0.0, 1e308], x=10.0)
+        with pytest.raises(NumericError, match="overflows"):
+            chi_sum(huge, 5)
+
+    def test_custom_cancelling_sum_is_exact(self):
+        # Near the boundary a custom series cancels as the geometric one
+        # does; its double sum reads 1.13e9 here.
+        custom = load_custom({"coefficients": [1.0] * 600, "x": -2.0})
+        got = chi_sum(custom, 300)
+        assert got == chi_sum(catalog_lookup("geometric", x=-2.0), 300)
+        assert got == 0.33283950780099497
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -65,6 +87,43 @@ class TestChiSum:
                 ref += w * mpmath.mpf(x) ** k
         got = chi_sum(catalog_lookup("geometric", x=x), n)
         assert got == pytest.approx(float(ref), rel=1e-14)
+
+    def test_import_leaves_mpmath_out(self):
+        code = "import sys, chisum; print('mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(chisum.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert done.stdout == "False\n"
+
+
+def closed_form_geometric(x, n):
+    """S_n(x) = (x/n)^n e^(n/x) Gamma(n+1, n/x), in 50 digits."""
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        return float(
+            (xm / n) ** n * mpmath.exp(n / xm) * mpmath.gammainc(n + 1, n / xm)
+        )
+
+
+class TestClosedFormOracle:
+    # x**k overflows a double for these x and n, so chi_sum always takes
+    # its exact path here; the closed form shares no code with it.
+    @given(
+        st.floats(min_value=-3.55, max_value=-2.0),
+        st.integers(min_value=1100, max_value=2000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_geometric_near_boundary(self, x, n):
+        ref = closed_form_geometric(x, n)
+        got = chi_sum(catalog_lookup("geometric", x=x), n)
+        assert abs(got - ref) <= math.ulp(ref)
+
+    def test_geometric_minus2_n10000(self):
+        ref = closed_form_geometric(-2.0, 10**4)
+        got = chi_sum(catalog_lookup("geometric", x=-2.0), 10**4)
+        assert abs(got - ref) <= math.ulp(ref)
 
 
 class TestDefinitionEquivalence:
