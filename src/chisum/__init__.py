@@ -36,6 +36,7 @@ from .special import (
     bernoulli_gen_fn,
     bernoulli_numbers,
     harmonic,
+    harmonic_numbers,
     solve_kappa,
     trigamma,
 )

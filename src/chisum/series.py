@@ -1,11 +1,15 @@
 """Series catalog: the term streams exercised throughout the package,
 plus user-supplied coefficient series.
 
-A SeriesSpec bundles the term function a_k with whatever reference data
-is known for it: an exact value (limit or antilimit), the second
-derivative of the generating function at the evaluation point (for the
-asymptotic error predictor), and, when every term is rational, the
-exact form the summation engine uses when double precision cancels out.
+A SeriesSpec bundles one term stream, a fresh iterator over a_0, a_1,
+... per call, with whatever reference data is known for it: an exact
+value (limit or antilimit), the second derivative of the generating
+function at the evaluation point (for the asymptotic error predictor),
+and, when every term is rational, the exact form the summation engine
+uses when double precision cancels out.  Every consumer reads the terms
+in order from one stream, so a term that builds on the one before it
+(a harmonic number) costs O(1); term(k) is a point lookup over a fresh
+stream, for callers that want one term.
 """
 
 from __future__ import annotations
@@ -14,11 +18,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, count, cycle, islice, repeat
+from operator import mul
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError
-from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic
+
+from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic_numbers
+
+# harmonic is not called here, but bench/spans.py wraps it under this
+# module's name, so the binding stays.
+from .special import harmonic  # noqa: F401
 
 __all__ = [
     "SeriesSpec",
@@ -34,15 +45,18 @@ __all__ = [
 class SeriesSpec:
     """A term stream with optional reference data.
 
-    term(k) must be total for all k >= 0 within the series' declared
-    domain.  exact_value, when present, is the sanctioned assignment
-    (ordinary limit or antilimit).  second_derivative is f''(x) of the
-    generating function, used by the error predictor.  rational, when
-    present, holds parts (x, c) with a_k = sum c(k) * x**k, c(k) rational.
+    terms() returns a fresh, unbounded iterator over a_0, a_1, ...; it
+    may raise OverflowError at a term past double range, and a series
+    with finitely many terms defined raises DomainError past them.
+    exact_value, when present, is the sanctioned assignment (ordinary
+    limit or antilimit).  second_derivative is f''(x) of the generating
+    function, used by the error predictor; it is None where it leaves
+    double range.  rational, when present, holds parts (x, c) with
+    a_k = sum c(k) * x**k, c(k) rational.
     """
 
     name: str
-    term: Callable[[int], float]
+    terms: Callable[[], Iterator[float]]
     exact_value: Optional[float] = None
     second_derivative: Optional[float] = None
     x: Optional[float] = None
@@ -52,6 +66,10 @@ class SeriesSpec:
     )
     asymptotic_only: bool = False
 
+    def term(self, k: int) -> float:
+        """a_k, read off a fresh stream: a point lookup, O(k)."""
+        return next(islice(self.terms(), k, None))
+
 
 @dataclass(frozen=True)
 class PartialSums:
@@ -60,12 +78,23 @@ class PartialSums:
     s: tuple[float, ...]
 
 
+def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
+    """value(), or None where it leaves double range."""
+    try:
+        return value()
+    except OverflowError:
+        return None
+
+
 def _geometric(x: float) -> SeriesSpec:
     return SeriesSpec(
         name="geometric",
-        term=lambda k: x**k,
+        # x**k, not a running product, which rounds differently.
+        terms=lambda: (x**k for k in count()),
         exact_value=1.0 / (1.0 - x) if x < 1.0 else None,
-        second_derivative=2.0 / (1.0 - x) ** 3 if x != 1.0 else None,
+        second_derivative=(
+            _unless_overflow(lambda: 2.0 / (1.0 - x) ** 3) if x != 1.0 else None
+        ),
         x=x,
         rational=((x, lambda k: 1),),
     )
@@ -75,7 +104,7 @@ def _grandi(name: str = "grandi") -> SeriesSpec:
     # The Grandi series is geometric at x = -1.
     return SeriesSpec(
         name=name,
-        term=lambda k: -1.0 if k & 1 else 1.0,
+        terms=lambda: cycle((1.0, -1.0)),
         exact_value=0.5,
         second_derivative=0.25,
         x=-1.0,
@@ -86,7 +115,9 @@ def _grandi(name: str = "grandi") -> SeriesSpec:
 def _alt_harmonic_numbers() -> SeriesSpec:
     return SeriesSpec(
         name="alt_harmonic_numbers",
-        term=lambda k: (-1.0 if k & 1 else 1.0) * harmonic(k + 1),
+        terms=lambda: (
+            (-1.0 if k & 1 else 1.0) * h for k, h in enumerate(harmonic_numbers())
+        ),
         exact_value=math.log(2.0) / 2.0,
     )
 
@@ -94,22 +125,24 @@ def _alt_harmonic_numbers() -> SeriesSpec:
 def _alt_log() -> SeriesSpec:
     return SeriesSpec(
         name="alt_log",
-        term=lambda k: (-1.0 if k & 1 else 1.0) * math.log(1.0 + k),
+        terms=lambda: ((-1.0 if k & 1 else 1.0) * math.log(1.0 + k) for k in count()),
         exact_value=0.5 * math.log(2.0 / math.pi),
     )
 
 
 def _log1p_taylor(x: float) -> SeriesSpec:
-    def term(k: int) -> float:
-        if k == 0:
-            return 0.0
-        return (-(x**k) if k & 1 == 0 else x**k) / k
+    def terms() -> Iterator[float]:
+        yield 0.0
+        for k in count(1):
+            yield (-(x**k) if k & 1 == 0 else x**k) / k
 
     return SeriesSpec(
         name="log1p_taylor",
-        term=term,
+        terms=terms,
         exact_value=math.log1p(x) if x > -1.0 else None,
-        second_derivative=-1.0 / (1.0 + x) ** 2 if x != -1.0 else None,
+        second_derivative=(
+            _unless_overflow(lambda: -1.0 / (1.0 + x) ** 2) if x != -1.0 else None
+        ),
         x=x,
         rational=((x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0),),
     )
@@ -118,16 +151,16 @@ def _log1p_taylor(x: float) -> SeriesSpec:
 def _bernoulli_power(x: float) -> SeriesSpec:
     table = bernoulli_numbers(60)
 
-    def term(k: int) -> float:
-        if k >= len(table):
-            raise DomainError(
-                f"bernoulli_power terms available up to k={len(table) - 1}"
-            )
-        return table[k] * x**k
+    def terms() -> Iterator[float]:
+        for k, b in enumerate(table.values):
+            yield b * x**k
+        raise DomainError(
+            f"bernoulli_power terms available up to k={len(table) - 1}"
+        )
 
     return SeriesSpec(
         name="bernoulli_power",
-        term=term,
+        terms=terms,
         exact_value=bernoulli_gen_fn(x),
         x=x,
         asymptotic_only=True,
@@ -142,14 +175,9 @@ def _custom(
     coeffs = tuple(float(c) for c in coefficients)
     xv = 1.0 if x is None else float(x)
 
-    def term(k: int) -> float:
-        if k >= len(coeffs):
-            return 0.0
-        return coeffs[k] * xv**k
-
     return SeriesSpec(
         name="custom",
-        term=term,
+        terms=lambda: chain((c * xv**k for k, c in enumerate(coeffs)), repeat(0.0)),
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
         rational=((xv, lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0),),
@@ -254,8 +282,8 @@ def partial_sums(spec: SeriesSpec, n: int) -> PartialSums:
     out = []
     acc = 0.0
     comp = 0.0
-    for k in range(n + 1):
-        y = spec.term(k) - comp
+    for a in islice(spec.terms(), n + 1):
+        y = a - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
@@ -264,7 +292,8 @@ def partial_sums(spec: SeriesSpec, n: int) -> PartialSums:
 
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
-    """Termwise linear combination of series.
+    """Termwise linear combination of series: its stream zips the inputs'
+    streams, and term k is the fsum of the weighted terms k.
 
     The exact value is the same combination when every input carries
     one, and so is the rational form (the inputs' parts scaled by finite
@@ -277,9 +306,11 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
     if not specs:
         raise DomainError("need at least one series")
     pairs = tuple(zip(coefficients, specs))
+    coeffs = tuple(c for c, _ in pairs)
 
-    def term(k: int) -> float:
-        return math.fsum(c * s.term(k) for c, s in pairs)
+    def terms() -> Iterator[float]:
+        streams = zip(*(s.terms() for _, s in pairs))
+        return (math.fsum(map(mul, coeffs, ts)) for ts in streams)
 
     exact = None
     if all(s.exact_value is not None for s in specs):
@@ -295,7 +326,7 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
 
     return SeriesSpec(
         name="combined(" + ",".join(s.name for s in specs) + ")",
-        term=term,
+        terms=terms,
         exact_value=exact,
         rational=rational,
         asymptotic_only=any(s.asymptotic_only for s in specs),

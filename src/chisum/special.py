@@ -1,6 +1,7 @@
-"""Special-function kernel: Bernoulli numbers, harmonic numbers, trigamma,
-the Euler-Maclaurin generating function h, the Euler-Mascheroni constant,
-and the summability-boundary constant kappa.
+"""Special-function kernel: Bernoulli numbers, harmonic numbers (one at a
+time, or as an O(1)-per-term stream), trigamma, the Euler-Maclaurin
+generating function h, the Euler-Mascheroni constant, and the
+summability-boundary constant kappa.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from typing import Iterator
 
 from .exceptions import DomainError, NumericError
 
@@ -17,6 +20,7 @@ __all__ = [
     "EULER_GAMMA",
     "bernoulli_numbers",
     "harmonic",
+    "harmonic_numbers",
     "trigamma",
     "bernoulli_gen_fn",
     "solve_kappa",
@@ -77,6 +81,31 @@ def harmonic(k: int) -> float:
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     return math.fsum(1.0 / j for j in range(1, k + 1))
+
+
+def harmonic_numbers() -> Iterator[float]:
+    """The stream H_1, H_2, ..., each equal to harmonic(k), at O(1) a term.
+
+    It keeps the running sum of 1/1..1/k exactly, as Shewchuk's
+    nonoverlapping partials (the representation math.fsum builds
+    internally), and yields their correctly rounded sum: the value
+    harmonic(k) rounds to, by construction.
+    """
+    partials: list[float] = []
+    for j in count(1):
+        x = 1.0 / j
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        yield math.fsum(partials)
 
 
 # Even-index Bernoulli numbers B_2..B_10 for the trigamma tail; these are

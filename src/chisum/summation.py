@@ -2,6 +2,10 @@
 convergence classification, Richardson acceleration, and the classical
 comparison methods (Cesaro, Euler transform, Abel).
 
+Every method reads the series in order from one term stream
+(SeriesSpec.terms), pulling exactly the terms it uses, so an order-n
+approximant costs O(n) term work; Abel takes a fresh stream per radius.
+
 The weighted sums are badly conditioned near the summability boundary:
 the terms grow like exp(c*n) before cancelling down to order one, which
 destroys double precision long before the method itself fails.
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
@@ -86,37 +92,37 @@ def _exact_sum(spec: SeriesSpec, n: int) -> float:
 def chi_sum(spec: SeriesSpec, n: int) -> float:
     """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
-    Sums in double precision with compensated summation.  When a weighted
-    term is not finite, or the cancellation ratio (absolute-term sum over
-    the result) exceeds _COND_LIMIT, the sum is redone exactly from the
-    series' rational form.  A series without one keeps its double
-    result; for it a non-finite term raises NumericError naming its
-    index.  A sum that leaves double range raises NumericError.
+    Sums in double precision with compensated summation, over the first
+    n + 1 items of one term stream.  When a weighted term is not finite,
+    or the cancellation ratio (absolute-term sum over the result)
+    exceeds _COND_LIMIT, the sum is redone exactly from the series'
+    rational form.  A series without one keeps its double result; for
+    it a non-finite term raises NumericError naming its index.  A sum
+    that leaves double range raises NumericError.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    w = chi_row(n).w
     terms = []
-    for k in range(n + 1):
-        try:
-            t = w[k] * spec.term(k)
-        except OverflowError:
-            t = math.inf
-        if not math.isfinite(t):
-            if spec.rational is None:
-                raise NumericError(f"non-finite weighted term at index {k}")
-            return _exact_sum(spec, n)
-        terms.append(t)
     try:
-        value = math.fsum(terms)
-        abs_sum = math.fsum(map(abs, terms))
-    except OverflowError:  # finite terms whose running sum leaves range
-        value = abs_sum = math.inf
-    well_conditioned = math.isfinite(value) and abs_sum <= _COND_LIMIT * abs(value)
-    if spec.rational is not None and not well_conditioned:
-        return _exact_sum(spec, n)
-    if not math.isfinite(value):
+        # The row comes first, so map stops after n + 1 terms and never
+        # pulls a_{n+1}; extend keeps the terms made before an overflow.
+        terms.extend(map(mul, chi_row(n).w, spec.terms()))
+    except OverflowError:
+        terms.append(math.inf)
+    # A sum of nonnegative terms, within n*eps of exact: good enough to
+    # compare with _COND_LIMIT, and not finite exactly when a term is
+    # not or the sum leaves double range.
+    abs_sum = sum(map(abs, terms))
+    if not math.isfinite(abs_sum):
+        if spec.rational is not None:
+            return _exact_sum(spec, n)
+        for k, t in enumerate(terms):
+            if not math.isfinite(t):
+                raise NumericError(f"non-finite weighted term at index {k}")
         raise NumericError(f"weighted sum overflows at order {n}")
+    value = math.fsum(terms)
+    if spec.rational is not None and abs_sum > _COND_LIMIT * abs(value):
+        return _exact_sum(spec, n)
     return value
 
 
@@ -193,9 +199,10 @@ def _settled_sum(spec: SeriesSpec, n: int) -> Optional[float]:
         return None
     rho = 0.0
     try:
-        prev = abs(spec.term(n // 2))
-        for k in range(n // 2 + 1, n + 1):
-            cur = abs(spec.term(k))
+        window = islice(spec.terms(), n // 2, n + 1)
+        prev = abs(next(window))
+        for t in window:
+            cur = abs(t)
             if not 0.0 < cur < prev < math.inf:
                 return None
             rho = max(rho, cur / prev)
@@ -293,7 +300,7 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    b = [(-1.0 if k & 1 else 1.0) * spec.term(k) for k in range(n + 1)]
+    b = [(-1.0 if k & 1 else 1.0) * t for k, t in zip(range(n + 1), spec.terms())]
     total = 0.0
     sign = 0.5
     for _ in range(n + 1):
@@ -326,9 +333,10 @@ def abel_estimate(
         comp = 0.0
         rk = 1.0
         below = 0
+        terms = spec.terms()
         for k in range(10**6):
             try:
-                t = spec.term(k) * rk
+                t = next(terms) * rk
             except OverflowError:
                 t = math.inf
             if not math.isfinite(t):

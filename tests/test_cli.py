@@ -119,6 +119,14 @@ class TestSumCommand:
         )
         assert code == EXIT_NUMERIC
 
+    def test_geometric_past_curvature_range(self):
+        # f''(x) = 2/(1-x)**3 leaves double range, but S_2 = 1 + x + x**2/2
+        # does not; the sum prints without a predicted error.
+        code, text = run_cli("sum", "--series", "geometric", "--x", "1e103", "--n", "2")
+        assert code == EXIT_OK
+        assert "value = 5e+205" in text
+        assert "predicted_error" not in text
+
     def test_custom_cancelling_sum(self, tmp_path):
         # The double sum of this series cancels to 1.13e9; S_300 is 0.3328.
         p = tmp_path / "ones.json"
@@ -272,9 +280,7 @@ class TestFormats:
         json.loads(text)
 
 
-# Inputs for the CLI fuzz test.  compare, and --compare abel on
-# alt_harmonic_numbers, are left out: Abel's inner series there runs to
-# about 4e4 terms of O(k) each, about 90 s per call.
+# Inputs for the CLI fuzz test.
 _NUMBER_TEXT = st.one_of(
     st.sampled_from(["abc", "nan", "inf", "-inf", "", "1e400", "-3.5", "0"]),
     st.floats().map(repr),
@@ -300,7 +306,9 @@ _DOCUMENT = st.one_of(
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["sum", "error", "table", "kappa", "weights"]))
+    command = draw(
+        st.sampled_from(["sum", "compare", "error", "table", "kappa", "weights"])
+    )
     argv = ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
     if command == "kappa" and draw(st.booleans()):
         argv += ["--tol=" + draw(_NUMBER_TEXT)]
@@ -323,17 +331,16 @@ def _argv(draw):
         argv.append("--x=" + draw(_NUMBER_TEXT))
     if series == "custom" and draw(st.booleans()):
         argv += ["--file", "{file}"]
-    if command == "sum" and draw(st.booleans()):
+    summing = command in ("sum", "compare")
+    if summing and draw(st.booleans()):
         orders = draw(st.lists(_ORDER_TEXT, min_size=1, max_size=4))
         argv += ["--n-grid", ",".join(orders)]
     elif draw(st.integers(0, 9)):
         argv += ["--n", draw(_ORDER_TEXT)]
-    if command == "sum":
+    if summing:
         if draw(st.booleans()):
             argv.append("--accelerate")
-        methods = ["cesaro", "euler", "borel"]
-        if series != "alt_harmonic_numbers":
-            methods.append("abel")
+        methods = ["cesaro", "euler", "abel", "borel"]
         chosen = draw(st.lists(st.sampled_from(methods), max_size=3, unique=True))
         if chosen:
             argv += ["--compare", ",".join(chosen)]

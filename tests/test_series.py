@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import islice
 
 import pytest
 
@@ -53,6 +54,24 @@ class TestCatalog:
         assert s.term(2) == -4.5
         assert s.exact_value == pytest.approx(math.log(4), rel=1e-15)
         assert s.second_derivative == pytest.approx(-1 / 16, rel=1e-15)
+
+    def test_geometric_curvature_past_double_range(self):
+        # 2/(1-x)**3 overflows from |x| of about 5.6e102; finite below.
+        assert catalog_lookup("geometric", x=1e103).second_derivative is None
+        assert catalog_lookup("geometric", x=-1e103).second_derivative is None
+        x = 5e102
+        curvature = catalog_lookup("geometric", x=x).second_derivative
+        assert curvature == 2.0 / (1.0 - x) ** 3
+
+    def test_log1p_curvature_past_double_range(self):
+        # -1/(1+x)**2 overflows from |x| of about 1.3e154; finite below.
+        s = catalog_lookup("log1p_taylor", x=1e155)
+        assert s.second_derivative is None
+        assert s.exact_value == math.log1p(1e155)
+        x = 1e153
+        assert catalog_lookup("log1p_taylor", x=x).second_derivative == (
+            -1.0 / (1.0 + x) ** 2
+        )
 
     def test_log1p_no_exact_outside_domain(self):
         assert catalog_lookup("log1p_taylor", x=-1.5).exact_value is None
@@ -213,3 +232,45 @@ class TestCustomSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SeriesFormatError):
             load_custom(str(tmp_path / "absent.json"))
+
+
+# One instance of every catalog entry, with the parameters it needs.
+_PARAMS = {
+    "geometric": {"x": -2.5},
+    "log1p_taylor": {"x": 1.5},
+    "bernoulli_power": {"x": 0.7},
+    "custom": {"coefficients": [1.0, -2.0, 3.5], "x": 0.5},
+}
+
+
+class TestTermStreams:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_term_is_the_kth_stream_item(self, name):
+        spec = catalog_lookup(name, **_PARAMS.get(name, {}))
+        stream = list(islice(spec.terms(), 61))
+        assert [spec.term(k) for k in range(61)] == stream
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_each_call_is_a_fresh_stream(self, name):
+        spec = catalog_lookup(name, **_PARAMS.get(name, {}))
+        first = spec.terms()
+        next(first)
+        assert next(spec.terms()) == spec.term(0)
+
+    def test_combination_streams_termwise(self):
+        a = catalog_lookup("alt_harmonic_numbers")
+        b = catalog_lookup("geometric", x=-2.0)
+        c = combine([a, b], [2.0, -3.0])
+        expected = [math.fsum((2.0 * s, -3.0 * t)) for s, t in
+                    zip(islice(a.terms(), 50), islice(b.terms(), 50))]
+        assert list(islice(c.terms(), 50)) == expected
+
+    def test_bernoulli_stream_ends_with_domain_error(self):
+        stream = catalog_lookup("bernoulli_power", x=0.5).terms()
+        assert len(list(islice(stream, 61))) == 61
+        with pytest.raises(DomainError, match="k=60"):
+            next(stream)
+
+    def test_custom_stream_is_zero_past_coefficients(self):
+        spec = catalog_lookup("custom", coefficients=[1.0, 2.0], x=3.0)
+        assert list(islice(spec.terms(), 5)) == [1.0, 6.0, 0.0, 0.0, 0.0]

@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,6 +11,7 @@ from chisum.special import (
     bernoulli_gen_fn,
     bernoulli_numbers,
     harmonic,
+    harmonic_numbers,
     solve_kappa,
     trigamma,
 )
@@ -84,6 +87,17 @@ class TestHarmonic:
     def test_domain(self):
         with pytest.raises(DomainError):
             harmonic(0)
+
+
+class TestHarmonicStream:
+    def test_equals_harmonic_up_to_5000(self):
+        stream = list(islice(harmonic_numbers(), 5000))
+        assert stream == [harmonic(k) for k in range(1, 5001)]
+
+    def test_equals_harmonic_at_sampled_large_k(self):
+        stream = list(islice(harmonic_numbers(), 200_000))
+        ks = random.Random(20240601).sample(range(1, 200_001), 200)
+        assert [stream[k - 1] for k in ks] == [harmonic(k) for k in ks]
 
 
 class TestTrigamma:

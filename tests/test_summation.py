@@ -71,6 +71,14 @@ class TestChiSum:
         with pytest.raises(DomainError):
             chi_sum(catalog_lookup("grandi"), 0)
 
+    def test_reads_no_term_past_n(self):
+        # The Bernoulli stream ends at k=60 with DomainError; S_60 reads
+        # a_0..a_60 only.
+        spec = catalog_lookup("bernoulli_power", x=0.3)
+        assert math.isfinite(chi_sum(spec, 60))
+        with pytest.raises(DomainError):
+            chi_sum(spec, 61)
+
     @pytest.mark.parametrize("x", [-3.5, -2.0, 0.5])
     def test_same_path_as_sweep(self, x):
         spec = catalog_lookup("geometric", x=x)
@@ -356,6 +364,12 @@ class TestAbel:
     def test_grandi_last_radius(self):
         v = abel_estimate(catalog_lookup("grandi"), (0.9, 0.99))
         assert v == pytest.approx(1 / 1.99, abs=1e-6)
+
+    def test_alt_harmonic_numbers_closed_form(self):
+        # sum_k (-1)^k H_{k+1} r^k = log(1 + r) / (r (1 + r)).
+        r = 0.999
+        v = abel_estimate(catalog_lookup("alt_harmonic_numbers"), (r,))
+        assert v == pytest.approx(math.log1p(r) / (r * (1.0 + r)), rel=1e-12)
 
     def test_geometric_minus2_not_abel_summable(self):
         with pytest.raises(AbelRadiusError):
