@@ -13,7 +13,11 @@ chi_sum, the one evaluation path that sweeps and every CLI command use,
 therefore estimates the cancellation (sum of absolute weighted terms
 over the result) and, when the series has a rational form, redoes the
 sum exactly in integers: the weights (n)_k / n**k are rational, so S_n
-is a rational number, rounded to double once at the end.
+is a rational number, rounded to double once at the end.  The integers
+come from a balanced product tree (binary splitting): each product joins
+two halves of about equal size, where CPython's Karatsuba multiplication
+is fast, so the cost grows far more slowly than the n**2 of adding one
+term at a time to a growing integer.
 """
 
 from __future__ import annotations
@@ -65,24 +69,38 @@ class ChiResult:
     accelerated: bool = False
 
 
+def _split(c, n: int, p: int, step: int, a: int, b: int):
+    """(P, Q, B, T) of the index range [a, b) of one part, by halving.
+
+    P = prod_{a<=j<b} (n-j)*p, Q = step**(b-a), B is the product of the
+    denominators of c(a..b-1), and the range's sum
+    sum_{a<=k<b} c(k) * prod_{a<=j<k} (n-j)*p / step equals T / (B*Q).
+    """
+    if b - a == 1:
+        ck = c(a)
+        return (n - a) * p, step, ck.denominator, ck.numerator * step
+    m = (a + b) // 2
+    P1, Q1, B1, T1 = _split(c, n, p, step, a, m)
+    P2, Q2, B2, T2 = _split(c, n, p, step, m, b)
+    # sum[a, b) = sum[a, m) + (P1 / Q1) * sum[m, b)
+    return P1 * P2, Q1 * Q2, B1 * B2, T1 * B2 * Q2 + P1 * B1 * T2
+
+
 def _exact_sum(spec: SeriesSpec, n: int) -> float:
     """S_n from the series' rational form in Python ints, rounded once.
 
-    A part (x, c), with x = p/q and L the lcm of the denominators of
-    c(0..n), is A / (L * (n*q)**n), built by the Horner step
-    A <- A*n*q + L*c(k)*(n)_k*p**k.  The final int / int rounds correctly.
+    A part (x, c), with x = p/q and step = n*q, is
+    sum_{k<=n} c(k) * (n)_k * p**k / step**k, the fraction T / (B*Q) of
+    _split over [0, n+1).  Every (P, Q, B, T) is exact, so each part is
+    exactly the same rational however the range is split; the parts are
+    added by cross-multiplying, and the final int / int rounds correctly.
     """
     num, den = 0, 1
     for x, c in spec.rational:
         p, q = x.as_integer_ratio()
-        coeffs = [c(k) for k in range(n + 1)]
-        lcm = math.lcm(*(ck.denominator for ck in coeffs))
-        acc, u, step = 0, lcm, n * q  # u = L * (n)_k * p**k
-        for k, ck in enumerate(coeffs):
-            acc = acc * step + ck.numerator * (u // ck.denominator)
-            u *= (n - k) * p
-        scale = lcm * step**n
-        num, den = num * scale + acc * den, den * scale
+        _, Q, B, T = _split(c, n, p, n * q, 0, n + 1)
+        scale = B * Q
+        num, den = num * scale + T * den, den * scale
     try:
         return num / den
     except OverflowError:
@@ -318,8 +336,8 @@ def abel_estimate(
 
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
-    AbelRadiusError when the inner series never reaches its tail
-    threshold within 10^6 terms.
+    AbelRadiusError when the inner series overflows, or does not reach
+    its tail threshold within 10^6 terms or before its stream ends.
     """
     rs = tuple(float(r) for r in radii)
     if not rs or any(not (0.0 < r < 1.0) for r in rs):
@@ -339,6 +357,10 @@ def abel_estimate(
                 t = next(terms) * rk
             except OverflowError:
                 t = math.inf
+            except DomainError:  # a finite stream, such as bernoulli_power
+                raise AbelRadiusError(
+                    f"inner series has only {k} terms, too few at radius {r}"
+                ) from None
             if not math.isfinite(t):
                 raise AbelRadiusError(
                     f"inner series overflowed at radius {r} (term {k})"

@@ -168,6 +168,14 @@ class TestCompareCommand:
         assert "abel" not in doc["results"] or doc["results"]["abel"] is None
         assert "abel_error" in doc["results"]
 
+    def test_abel_past_a_finite_stream_is_reported_not_fatal(self):
+        doc = run_json(
+            "compare", "--series", "bernoulli_power", "--x", "0.5", "--n", "20"
+        )
+        res = doc["results"]
+        assert "61 terms" in res["abel_error"]
+        assert {"value", "cesaro", "euler"} <= res.keys()
+
     def test_unknown_method(self):
         code, _ = run_cli(
             "sum", "--series", "grandi", "--n", "10", "--compare", "borel"

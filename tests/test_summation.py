@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -16,6 +17,7 @@ from chisum.series import catalog_lookup, combine, load_custom, partial_sums
 from chisum.summation import (
     CONVERGED,
     DIVERGING,
+    _exact_sum,
     abel_estimate,
     cesaro_mean,
     chi_limit,
@@ -132,6 +134,59 @@ class TestClosedFormOracle:
         ref = closed_form_geometric(-2.0, 10**4)
         got = chi_sum(catalog_lookup("geometric", x=-2.0), 10**4)
         assert abs(got - ref) <= math.ulp(ref)
+
+
+@st.composite
+def series_by_definition(draw, n):
+    """A series with a rational form, and its term a_k as a Fraction
+    written out from the series' definition, not from that form.  A custom
+    series gets fewer than n + 1 coefficients, so its tail is zero."""
+    kind = draw(st.sampled_from(("geometric", "log1p_taylor", "custom")))
+    x = draw(st.floats(min_value=-4.0, max_value=4.0))
+    fx = Fraction(x)
+    if kind == "geometric":
+        return catalog_lookup(kind, x=x), lambda k: fx**k
+    if kind == "log1p_taylor":
+        return catalog_lookup(kind, x=x), (
+            lambda k: Fraction((-1) ** (k + 1), k) * fx**k if k else Fraction(0)
+        )
+    coeffs = draw(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=n)
+    )
+    return load_custom({"coefficients": coeffs, "x": x}), (
+        lambda k: Fraction(coeffs[k]) * fx**k if k < len(coeffs) else Fraction(0)
+    )
+
+
+class TestExactKernelOracle:
+    # S_n = sum_k a_k * (n)_k / n**k summed term by term in Fractions: an
+    # oracle for every part kind, for the sum over parts, and for the
+    # coefficient denominators that the kernel multiplies together.
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_sum_of_the_definition(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=64))
+        parts = data.draw(st.lists(series_by_definition(n), min_size=1, max_size=3))
+        if len(parts) == 1:
+            spec, a = parts[0]
+        else:
+            coefs = data.draw(
+                st.lists(
+                    st.floats(min_value=-3.0, max_value=3.0),
+                    min_size=len(parts),
+                    max_size=len(parts),
+                )
+            )
+            spec = combine([s for s, _ in parts], coefs)
+
+            def a(k):
+                return sum(Fraction(c) * ak(k) for c, (_, ak) in zip(coefs, parts))
+
+        direct, w = Fraction(0), Fraction(1)
+        for k in range(n + 1):
+            direct += w * a(k)
+            w *= Fraction(n - k, n)
+        assert _exact_sum(spec, n) == float(direct)
 
 
 class TestDefinitionEquivalence:
@@ -370,6 +425,12 @@ class TestAbel:
         r = 0.999
         v = abel_estimate(catalog_lookup("alt_harmonic_numbers"), (r,))
         assert v == pytest.approx(math.log1p(r) / (r * (1.0 + r)), rel=1e-12)
+
+    def test_stream_that_ends_is_a_radius_error(self):
+        # bernoulli_power has 61 terms; at r=0.9 the tail needs more.
+        spec = catalog_lookup("bernoulli_power", x=0.5)
+        with pytest.raises(AbelRadiusError, match="only 61 terms"):
+            abel_estimate(spec, (0.9,))
 
     def test_geometric_minus2_not_abel_summable(self):
         with pytest.raises(AbelRadiusError):
