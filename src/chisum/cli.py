@@ -218,7 +218,7 @@ def _cmd_kappa(args, out) -> int:
 
 
 def _cmd_weights(args, out) -> int:
-    row = chi_row(args.n)
+    w = chi_row(args.n).w
     avg = averaging_row(args.n)
     diag = verify_toeplitz(avg)
     record = {
@@ -232,7 +232,10 @@ def _cmd_weights(args, out) -> int:
         },
         "rows": {
             "header": ["k", "chi", "averaging"],
-            "data": [[k, row.w[k], avg.a[k]] for k in range(args.n + 1)],
+            # Both rows end where the weights underflow; the weights of
+            # the rest of the n + 1 printed entries are zero.
+            "data": [[k, w[k], avg.a[k]] if k < len(w) else [k, 0.0, 0.0]
+                     for k in range(args.n + 1)],
         },
     }
     _emit(record, args.format, out)

@@ -23,6 +23,7 @@ term at a time to a growing integer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import mul
@@ -107,37 +108,60 @@ def _exact_sum(spec: SeriesSpec, n: int) -> float:
         raise NumericError(f"weighted sum overflows at order {n}") from None
 
 
+def _first_nonfinite(spec: SeriesSpec, n: int) -> Optional[int]:
+    """Index of the first of a_0..a_n that is not finite or raises
+    OverflowError, or None when all of them are finite."""
+    k = -1
+    try:
+        for k, t in enumerate(islice(spec.terms(), n + 1)):
+            if not math.isfinite(t):
+                return k
+    except OverflowError:
+        return k + 1
+    return None
+
+
 def chi_sum(spec: SeriesSpec, n: int) -> float:
     """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
-    Sums in double precision with compensated summation, over the first
-    n + 1 items of one term stream.  When a weighted term is not finite,
-    or the cancellation ratio (absolute-term sum over the result)
-    exceeds _COND_LIMIT, the sum is redone exactly from the series'
-    rational form.  A series without one keeps its double result; for
-    it a non-finite term raises NumericError naming its index.  A sum
-    that leaves double range raises NumericError.
+    Sums in double precision with compensated summation, over one term
+    stream: its first len(chi_row(n).w) terms are weighted by the row.
+    The weights of the terms from there to a_n count as zero, and those
+    terms are only summed in absolute value: a true weight there is below
+    sys.float_info.min, so that sum times it bounds what they could add.
+    When a term is not finite, or the cancellation ratio (absolute-term
+    sum, with that bound, over the result) exceeds _COND_LIMIT, the sum
+    is redone exactly from the series' rational form.  A series without
+    one keeps its double result; for it a non-finite term raises
+    NumericError naming its index.  A sum that leaves double range
+    raises NumericError.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    terms = []
+    w = chi_row(n).w
+    stream = spec.terms()
     try:
-        # The row comes first, so map stops after n + 1 terms and never
-        # pulls a_{n+1}; extend keeps the terms made before an overflow.
-        terms.extend(map(mul, chi_row(n).w, spec.terms()))
+        # The row comes first, so map stops after len(w) terms and never
+        # pulls the term past them; islice then stops at a_n.
+        terms = list(map(mul, w, stream))
+        tail = sum(map(abs, islice(stream, n + 1 - len(w))))
     except OverflowError:
-        terms.append(math.inf)
-    # A sum of nonnegative terms, within n*eps of exact: good enough to
-    # compare with _COND_LIMIT, and not finite exactly when a term is
-    # not or the sum leaves double range.
-    abs_sum = sum(map(abs, terms))
+        terms, tail = [], math.inf
+    # Sums of nonnegative terms, within n*eps of exact: good enough to
+    # compare with _COND_LIMIT.  Each weight past the row is below
+    # sys.float_info.min, so that times tail bounds the terms there.
+    # abs_sum is not finite when a term is not (0 * inf is nan) or a sum
+    # leaves double range.
+    abs_sum = sum(map(abs, terms)) + sys.float_info.min * tail
     if not math.isfinite(abs_sum):
         if spec.rational is not None:
             return _exact_sum(spec, n)
-        for k, t in enumerate(terms):
-            if not math.isfinite(t):
-                raise NumericError(f"non-finite weighted term at index {k}")
-        raise NumericError(f"weighted sum overflows at order {n}")
+        k = _first_nonfinite(spec, n)
+        if k is not None:
+            raise NumericError(f"non-finite weighted term at index {k}")
+        if not math.isfinite(sum(map(abs, terms))):
+            raise NumericError(f"weighted sum overflows at order {n}")
+        # Only the bound on the terms past the row overflowed.
     value = math.fsum(terms)
     if spec.rational is not None and abs_sum > _COND_LIMIT * abs(value):
         return _exact_sum(spec, n)
@@ -146,14 +170,17 @@ def chi_sum(spec: SeriesSpec, n: int) -> float:
 
 def chi_limit(spec: SeriesSpec, n: int) -> float:
     """Weighted average of the partial sums under the averaging row
-    (second defining form); algebraically equal to chi_sum."""
+    (second defining form); algebraically equal to chi_sum.
+
+    The row ends with the head of chi_row(n); the partial sums past it
+    have weight zero and are not formed, so one that overflows there
+    does not turn the result into nan.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     a = averaging_row(n).a
-    s = partial_sums(spec, n).s
-    num = math.fsum(a[k] * s[k] for k in range(n + 1))
-    den = math.fsum(a)
-    return num / den
+    s = partial_sums(spec, len(a) - 1).s
+    return math.fsum(map(mul, a, s)) / math.fsum(a)
 
 
 def classify_convergence(

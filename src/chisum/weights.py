@@ -7,11 +7,23 @@ The method weights term k of a series by the running product
 which decays factorially in k for fixed n and tends to 1 for fixed k as
 n grows.  The equivalent averaging (matrix) form uses the normalized row
 a(k) = k*w(k)/n, which is a probability row vector.
+
+Since w(k) is about exp(-k**2 / (2n)), only the first O(sqrt(n)) weights
+lie in the normal range of a double.  A row keeps that head: it ends
+before the first weight below sys.float_info.min, and every weight past
+it counts as exactly zero.  The recurrence cannot follow the weights
+further.  A subnormal product keeps fewer bits at each step and then
+sticks at the smallest subnormal, 5e-324, while the factor exceeds 1/2:
+at n = 20000 it stores 5e-324 for k = 5202..10000, where the true weight
+falls to about 1e-1332.  So a row stores no subnormal weight, and a
+cached row at n = 10**6 holds 37,404 entries instead of n + 1;
+summation.chi_sum bounds what the terms past the row could add.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Row of chi weights for a fixed order n; w[k] weights term k."""
+    """Head of the chi weight row at order n: w[k] weights term k, and
+    every term from len(w) to n has weight zero."""
 
     n: int
     w: tuple[float, ...]
@@ -56,7 +69,8 @@ class ToeplitzDiagnostics:
 
 
 def chi_weight(n: int, k: int) -> float:
-    """Weight of term k at order n, by the multiplicative recurrence.
+    """Weight of term k at order n: entry k of chi_row(n), or 0.0 past
+    the row's head.
 
     Exact for k in {0, 1}.  Raises DomainError unless 0 <= k <= n.
     """
@@ -64,33 +78,36 @@ def chi_weight(n: int, k: int) -> float:
         raise DomainError(f"order n must be positive, got {n}")
     if k < 0 or k > n:
         raise DomainError(f"index k={k} outside 0..{n}")
-    w = 1.0
-    for j in range(1, k + 1):
-        w *= 1.0 - (j - 1) / n
-    return w
+    w = chi_row(n).w
+    return w[k] if k < len(w) else 0.0
 
 
 # Rows are cached because sweeps revisit the same orders; the cache is
 # read-mostly and lru_cache is safe for concurrent readers.
 @lru_cache(maxsize=64)
 def chi_row(n: int) -> WeightVector:
-    """Full weight row w[0..n] at order n.
+    """Head of the weight row at order n: w[0], w[1], ... while the
+    weights stay at or above sys.float_info.min.
 
     Weights are built by the running product, never via factorials, so
-    there is no overflow for n > 170; entries near k = n may underflow
-    to zero harmlessly at large n.
+    there is no overflow for n > 170.  The row holds all n + 1 weights
+    up to n = 712 and ends before the first subnormal weight from n = 713
+    on; every weight past it counts as zero (see the module docstring).
     """
     if n < 1:
         raise DomainError(f"order n must be positive, got {n}")
-    w = [0.0] * (n + 1)
-    w[0] = 1.0
+    w = [1.0]
     for k in range(1, n + 1):
-        w[k] = w[k - 1] * (1.0 - (k - 1) / n)
+        wk = w[-1] * (1.0 - (k - 1) / n)
+        if wk < sys.float_info.min:
+            break
+        w.append(wk)
     return WeightVector(n=n, w=tuple(w))
 
 
 def averaging_row(n: int) -> AveragingRow:
-    """Averaging-form row a[k] = k*w[k]/n; entries sum to 1."""
+    """Averaging-form row a[k] = k*w[k]/n over the head of chi_row(n);
+    entries sum to 1, and every entry past the head is zero."""
     row = chi_row(n)
     a = tuple(k * wk / n for k, wk in enumerate(row.w))
     return AveragingRow(n=n, a=a)

@@ -136,6 +136,98 @@ class TestClosedFormOracle:
         assert abs(got - ref) <= math.ulp(ref)
 
 
+class TestTermsPastTheRow:
+    # chi_row(n) ends at the first weight below sys.float_info.min (k=1426
+    # at n=2000, 5082 at n=20000); the weights past it count as zero.
+
+    @pytest.mark.parametrize(
+        "other,n,index",
+        [
+            # x**k overflows at k=10491, past the row at n=20000.
+            (catalog_lookup("geometric", x=1.07), 20000, 10491),
+            # 1e308 * 1.5**1500 is inf without an OverflowError.
+            (load_custom({"coefficients": [0.0] * 1500 + [1e308], "x": 1.5}),
+             2000, 1500),
+        ],
+    )
+    def test_nonfinite_term_names_its_own_index(self, other, n, index):
+        bad = combine([catalog_lookup("alt_log"), other], [1.0, 1.0])
+        with pytest.raises(NumericError, match=f"index {index}$"):
+            chi_sum(bad, n)
+
+    @pytest.mark.parametrize("k", [1426, 1430, 1500])
+    def test_huge_terms_past_the_row_are_not_dropped(self, k):
+        # The true weight at k is below sys.float_info.min, but times 1e300
+        # it is the whole sum; the row alone would give 0.0.
+        spec = load_custom({"coefficients": [0.0] * k + [1e300]})
+        n, w = 2000, Fraction(1)
+        for j in range(k):
+            w *= Fraction(n - j, n)
+        ref = float(w * Fraction(1e300))
+        assert ref > 0.0
+        assert chi_sum(spec, n) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_only_the_tail_bound_overflows(self):
+        # Every term is finite (x**20000 is about 4e307), but their
+        # absolute sum past the row overflows; a series with no rational
+        # form keeps its double result, as the weights there are zero.
+        x, n = 1.03605, 20000
+        alog = catalog_lookup("alt_log")
+        both = combine([alog, catalog_lookup("geometric", x=x)], [1.0, 1.0])
+        ref = closed_form_geometric(x, n) + chi_sum(alog, n)
+        assert chi_sum(both, n) == pytest.approx(ref, rel=1e-12)
+
+    def test_chi_limit_ignores_partial_sums_past_the_row(self):
+        # s_k overflows from k=1801, where the averaging weights are zero;
+        # the full row gave 0 * inf = nan here.
+        spec = load_custom({"coefficients": [0.5] * 1800 + [1e308, 1e308]})
+        got = chi_limit(spec, 2000)
+        assert math.isfinite(got)
+        assert got == pytest.approx(chi_sum(spec, 2000), rel=1e-12)
+
+
+def integral_geometric(x, n):
+    """S_n(x) = int_0^inf (1 + x*u/n)^n e^(-u) du, in 50 digits: the same
+    function as closed_form_geometric (expand the power and integrate
+    termwise), evaluated by quadrature."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(x) / n
+        return float(
+            mpmath.quad(lambda u: (1 + c * u) ** n * mpmath.exp(-u), [0, mpmath.inf])
+        )
+
+
+class TestDoublePathOracle:
+    # For -1 <= x <= 0.95 the weighted terms do not cancel far, so chi_sum
+    # keeps its double result; the closed form shares no code with it.
+    @given(
+        st.floats(min_value=-1.0, max_value=0.95),
+        st.integers(min_value=750, max_value=20000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_geometric_against_closed_form(self, x, n):
+        try:
+            ref = closed_form_geometric(x, n) if x != 0.0 else 1.0
+        except mpmath.mp.NoConvergence:
+            # gammainc's series fail for a few x > 0 with n/x far above n
+            # (x=0.5961102455617882, n=16503).
+            ref = integral_geometric(x, n)
+        spec = catalog_lookup("geometric", x=x)
+        got = chi_sum(spec, n)
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+
+    def test_integral_matches_closed_form(self):
+        for x, n in ((-1.0, 751), (0.3, 800), (0.95, 20000)):
+            assert integral_geometric(x, n) == pytest.approx(
+                closed_form_geometric(x, n), rel=1e-15
+            )
+        assert integral_geometric(0.5961102455617882, 16503) == pytest.approx(
+            chi_sum(catalog_lookup("geometric", x=0.5961102455617882), 16503),
+            rel=1e-13,
+        )
+
+
 @st.composite
 def series_by_definition(draw, n):
     """A series with a rational form, and its term a_k as a Fraction

@@ -1,9 +1,13 @@
+import io
+import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chisum.cli import main
 from chisum.exceptions import DomainError
 from chisum.weights import (
     averaging_row,
@@ -83,6 +87,67 @@ class TestChiRow:
         for n in range(1, 1001):
             w = chi_row(n).w
             assert abs(math.fsum(k * wk for k, wk in enumerate(w)) - n) <= 1e-12 * n
+
+
+def full_recurrence(n):
+    # All n + 1 weights by the same running product, without the row's
+    # stop at the underflow threshold.
+    w = [1.0]
+    for k in range(1, n + 1):
+        w.append(w[-1] * (1.0 - (k - 1) / n))
+    return w
+
+
+class TestRowHead:
+    # A row keeps the weights down to sys.float_info.min; every weight
+    # past it counts as zero.
+
+    @pytest.mark.parametrize("n", [1, 2, 400, 712, 713, 750, 2000, 20000, 10**5])
+    def test_stored_weights_are_normal(self, n):
+        w = chi_row(n).w
+        assert len(w) <= n + 1
+        assert min(w) >= sys.float_info.min
+
+    @pytest.mark.parametrize("n", [750, 2000, 20000, 10**5])
+    def test_head_is_the_full_recurrence(self, n):
+        w = chi_row(n).w
+        full = full_recurrence(n)
+        assert list(w) == full[: len(w)]
+        assert len(w) < n + 1
+        assert max(full[len(w) :]) < sys.float_info.min
+
+    def test_rows_end_from_n_713(self):
+        assert len(chi_row(712).w) == 713
+        assert len(chi_row(713).w) == 713
+
+    def test_row_at_a_million_is_short(self):
+        assert len(chi_row(10**6).w) < 40_000
+
+    @pytest.mark.parametrize("n,k", [(750, 300), (2000, 1425), (20000, 5000)])
+    def test_chi_weight_is_the_recurrence(self, n, k):
+        assert chi_weight(n, k) == full_recurrence(n)[k]
+
+    def test_chi_weight_past_the_head_is_zero(self):
+        n = 2000
+        head = len(chi_row(n).w)
+        assert chi_weight(n, head - 1) > 0.0
+        assert chi_weight(n, head) == 0.0
+        assert chi_weight(n, n) == 0.0
+
+    def test_averaging_row_sums_to_one_at_large_n(self):
+        a = averaging_row(10**5).a
+        assert len(a) == len(chi_row(10**5).w)
+        assert abs(math.fsum(a) - 1.0) <= 1e-12
+
+    def test_cli_prints_n_plus_one_rows(self):
+        out = io.StringIO()
+        assert main(["--format", "json", "weights", "--n", "1000"], out=out) == 0
+        data = json.loads(out.getvalue())["rows"]["data"]
+        head = len(chi_row(1000).w)
+        assert len(data) == 1001
+        assert [r[0] for r in data] == list(range(1001))
+        assert [r[1] for r in data[:head]] == list(chi_row(1000).w)
+        assert all(r[1:] == [0.0, 0.0] for r in data[head:])
 
 
 class TestAveragingRow:
