@@ -23,7 +23,6 @@ from .exceptions import (
 )
 from .series import (
     CATALOG_NAMES,
-    PartialSums,
     SeriesSpec,
     catalog_lookup,
     combine,
@@ -55,9 +54,7 @@ from .summation import (
     richardson_accelerate,
 )
 from .weights import (
-    AveragingRow,
     ToeplitzDiagnostics,
-    WeightVector,
     averaging_row,
     chi_row,
     chi_weight,

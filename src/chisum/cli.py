@@ -218,7 +218,7 @@ def _cmd_kappa(args, out) -> int:
 
 
 def _cmd_weights(args, out) -> int:
-    w = chi_row(args.n).w
+    w = chi_row(args.n)
     avg = averaging_row(args.n)
     diag = verify_toeplitz(avg)
     record = {
@@ -234,7 +234,7 @@ def _cmd_weights(args, out) -> int:
             "header": ["k", "chi", "averaging"],
             # Both rows end where the weights underflow; the weights of
             # the rest of the n + 1 printed entries are zero.
-            "data": [[k, w[k], avg.a[k]] if k < len(w) else [k, 0.0, 0.0]
+            "data": [[k, w[k], avg[k]] if k < len(w) else [k, 0.0, 0.0]
                      for k in range(args.n + 1)],
         },
     }

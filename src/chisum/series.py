@@ -33,7 +33,6 @@ from .special import harmonic  # noqa: F401
 
 __all__ = [
     "SeriesSpec",
-    "PartialSums",
     "CATALOG_NAMES",
     "catalog_lookup",
     "load_custom",
@@ -60,7 +59,6 @@ class SeriesSpec:
     exact_value: Optional[float] = None
     second_derivative: Optional[float] = None
     x: Optional[float] = None
-    x0: float = 0.0
     rational: Optional[tuple[tuple[float, Callable[[int], Fraction]], ...]] = (
         field(default=None, repr=False)
     )
@@ -69,13 +67,6 @@ class SeriesSpec:
     def term(self, k: int) -> float:
         """a_k, read off a fresh stream: a point lookup, O(k)."""
         return next(islice(self.terms(), k, None))
-
-
-@dataclass(frozen=True)
-class PartialSums:
-    """Prefix sums s[k] = a_0 + ... + a_k."""
-
-    s: tuple[float, ...]
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
@@ -275,20 +266,24 @@ def load_custom(source) -> SeriesSpec:
     )
 
 
-def partial_sums(spec: SeriesSpec, n: int) -> PartialSums:
-    """Prefix sums s[0..n] with compensated accumulation."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    out = []
+def _running_sums(spec: SeriesSpec) -> Iterator[float]:
+    """s_0, s_1, ... with compensated accumulation, one term pulled per
+    sum; an OverflowError from the term stream passes through."""
     acc = 0.0
     comp = 0.0
-    for a in islice(spec.terms(), n + 1):
+    for a in spec.terms():
         y = a - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
-        out.append(acc)
-    return PartialSums(s=tuple(out))
+        yield acc
+
+
+def partial_sums(spec: SeriesSpec, n: int) -> tuple[float, ...]:
+    """Prefix sums s[k] = a_0 + ... + a_k for k = 0..n, compensated."""
+    if n < 0:
+        raise DomainError(f"need n >= 0, got {n}")
+    return tuple(islice(_running_sums(spec), n + 1))
 
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:

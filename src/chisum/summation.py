@@ -8,12 +8,13 @@ approximant costs O(n) term work; Abel takes a fresh stream per radius.
 
 The weighted sums are badly conditioned near the summability boundary:
 the terms grow like exp(c*n) before cancelling down to order one, which
-destroys double precision long before the method itself fails.
-chi_sum, the one evaluation path that sweeps and every CLI command use,
-therefore estimates the cancellation (sum of absolute weighted terms
-over the result) and, when the series has a rational form, redoes the
-sum exactly in integers: the weights (n)_k / n**k are rational, so S_n
-is a rational number, rounded to double once at the end.  The integers
+destroys double precision long before the method itself fails.  Both
+defining forms, chi_sum (the one evaluation path that sweeps and every
+CLI command use) and chi_limit, therefore go through one guarded
+weighted sum.  It estimates the cancellation (sum of absolute weighted
+terms over the result) and, when the series has a rational form, redoes
+the sum exactly in integers: the weights (n)_k / n**k are rational, so
+S_n is a rational number, rounded to double once at the end.  The integers
 come from a balanced product tree (binary splitting): each product joins
 two halves of about equal size, where CPython's Karatsuba multiplication
 is fast, so the cost grows far more slowly than the n**2 of adding one
@@ -27,11 +28,11 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
 from .exceptions import AbelRadiusError, DomainError, NumericError
-from .series import SeriesSpec, partial_sums
+from .series import SeriesSpec, _running_sums, partial_sums
 from .weights import averaging_row, chi_row
 
 __all__ = [
@@ -121,37 +122,37 @@ def _first_nonfinite(spec: SeriesSpec, n: int) -> Optional[int]:
     return None
 
 
-def chi_sum(spec: SeriesSpec, n: int) -> float:
-    """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
+def _guarded_sum(
+    spec: SeriesSpec,
+    n: int,
+    row: Sequence[float],
+    stream: Iterator[float],
+    norm: float,
+) -> float:
+    """S_n as sum_k row[k] * x_k / norm over the first n + 1 values x_k of
+    stream, a sequence built from spec's terms, with every weight past
+    the row below sys.float_info.min.
 
-    Sums in double precision with compensated summation, over one term
-    stream: its first len(chi_row(n).w) terms are weighted by the row.
-    The weights of the terms from there to a_n count as zero, and those
-    terms are only summed in absolute value: a true weight there is below
-    sys.float_info.min, so that sum times it bounds what they could add.
-    When a term is not finite, or the cancellation ratio (absolute-term
-    sum, with that bound, over the result) exceeds _COND_LIMIT, the sum
-    is redone exactly from the series' rational form.  A series without
-    one keeps its double result; for it a non-finite term raises
-    NumericError naming its index.  A sum that leaves double range
-    raises NumericError.
+    Sums in double precision: the first len(row) values are weighted by
+    the row, and the values from there to x_n are only summed in
+    absolute value, since that sum times sys.float_info.min bounds what
+    they could add.  When a value is not finite, or the cancellation
+    ratio (absolute-term sum, with that bound, over the sum) exceeds
+    _COND_LIMIT, S_n is redone exactly from the series' rational form.
+    A series without one keeps its double result; for it a non-finite
+    term raises NumericError naming its index.  A sum that leaves double
+    range raises NumericError.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    w = chi_row(n).w
-    stream = spec.terms()
     try:
-        # The row comes first, so map stops after len(w) terms and never
-        # pulls the term past them; islice then stops at a_n.
-        terms = list(map(mul, w, stream))
-        tail = sum(map(abs, islice(stream, n + 1 - len(w))))
+        # The row comes first, so map stops after len(row) values and
+        # never pulls the value past them; islice then stops at x_n.
+        terms = list(map(mul, row, stream))
+        tail = sum(map(abs, islice(stream, n + 1 - len(row))))
     except OverflowError:
         terms, tail = [], math.inf
     # Sums of nonnegative terms, within n*eps of exact: good enough to
-    # compare with _COND_LIMIT.  Each weight past the row is below
-    # sys.float_info.min, so that times tail bounds the terms there.
-    # abs_sum is not finite when a term is not (0 * inf is nan) or a sum
-    # leaves double range.
+    # compare with _COND_LIMIT.  abs_sum is not finite when a term is not
+    # (0 * inf is nan) or a sum leaves double range.
     abs_sum = sum(map(abs, terms)) + sys.float_info.min * tail
     if not math.isfinite(abs_sum):
         if spec.rational is not None:
@@ -161,26 +162,40 @@ def chi_sum(spec: SeriesSpec, n: int) -> float:
             raise NumericError(f"non-finite weighted term at index {k}")
         if not math.isfinite(sum(map(abs, terms))):
             raise NumericError(f"weighted sum overflows at order {n}")
-        # Only the bound on the terms past the row overflowed.
-    value = math.fsum(terms)
-    if spec.rational is not None and abs_sum > _COND_LIMIT * abs(value):
+        # Only the bound on the values past the row overflowed.
+    total = math.fsum(terms)
+    if spec.rational is not None and abs_sum > _COND_LIMIT * abs(total):
         return _exact_sum(spec, n)
-    return value
+    return total / norm
 
 
-def chi_limit(spec: SeriesSpec, n: int) -> float:
-    """Weighted average of the partial sums under the averaging row
-    (second defining form); algebraically equal to chi_sum.
+def chi_sum(spec: SeriesSpec, n: int) -> float:
+    """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
-    The row ends with the head of chi_row(n); the partial sums past it
-    have weight zero and are not formed, so one that overflows there
-    does not turn the result into nan.
+    The guarded weighted sum of the terms a_0..a_n under chi_row(n):
+    compensated double precision, with a bound on the terms past the
+    row and an exact redo from the series' rational form when a term is
+    not finite or the sum cancels.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    a = averaging_row(n).a
-    s = partial_sums(spec, len(a) - 1).s
-    return math.fsum(map(mul, a, s)) / math.fsum(a)
+    return _guarded_sum(spec, n, chi_row(n), spec.terms(), 1.0)
+
+
+def chi_limit(spec: SeriesSpec, n: int) -> float:
+    """Weighted average of the partial sums s_0..s_n under the averaging
+    row (second defining form); algebraically equal to chi_sum.
+
+    The same guarded weighted sum as chi_sum, over the partial sums and
+    normalised by the row's sum.  Each averaging weight past the row is
+    k*w(k)/n <= w(k) < sys.float_info.min, so the partial sums there are
+    bounded, not dropped; one that overflows sends a series with a
+    rational form to the exact sum, which is the same S_n as chi_sum's.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    a = averaging_row(n)
+    return _guarded_sum(spec, n, a, _running_sums(spec), math.fsum(a))
 
 
 def classify_convergence(
@@ -252,7 +267,7 @@ def _settled_sum(spec: SeriesSpec, n: int) -> Optional[float]:
                 return None
             rho = max(rho, cur / prev)
             prev = cur
-        s = partial_sums(spec, n).s[-1]
+        s = partial_sums(spec, n)[-1]
     except OverflowError:
         return None
     if not math.isfinite(s) or prev * rho / (1.0 - rho) > 0.5 * math.ulp(s):
@@ -307,8 +322,10 @@ def chi_sweep(
 
     error = None
     if spec.second_derivative is not None and spec.x is not None:
+        # Every catalog, custom and combined series is a power series
+        # about 0, so that is the base point.
         predicted = predicted_error(
-            spec.second_derivative, spec.x, spec.x0, grid[-1]
+            spec.second_derivative, spec.x, 0.0, grid[-1]
         )
         observed = ratio = None
         if spec.exact_value is not None:
@@ -331,8 +348,7 @@ def cesaro_mean(spec: SeriesSpec, n: int) -> float:
     """Arithmetic mean of the partial sums s_0..s_n ((C,1) mean)."""
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    s = partial_sums(spec, n).s
-    return math.fsum(s) / (n + 1)
+    return math.fsum(partial_sums(spec, n)) / (n + 1)
 
 
 def euler_transform(spec: SeriesSpec, n: int) -> float:

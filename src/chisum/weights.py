@@ -26,12 +26,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .exceptions import DomainError
 
 __all__ = [
-    "WeightVector",
-    "AveragingRow",
     "ToeplitzDiagnostics",
     "chi_weight",
     "chi_row",
@@ -39,23 +38,6 @@ __all__ = [
     "verify_toeplitz",
     "exp_approx_gap",
 ]
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Head of the chi weight row at order n: w[k] weights term k, and
-    every term from len(w) to n has weight zero."""
-
-    n: int
-    w: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class AveragingRow:
-    """Normalized matrix row a[k] = k*w[k]/n of the averaging form."""
-
-    n: int
-    a: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -78,16 +60,17 @@ def chi_weight(n: int, k: int) -> float:
         raise DomainError(f"order n must be positive, got {n}")
     if k < 0 or k > n:
         raise DomainError(f"index k={k} outside 0..{n}")
-    w = chi_row(n).w
+    w = chi_row(n)
     return w[k] if k < len(w) else 0.0
 
 
 # Rows are cached because sweeps revisit the same orders; the cache is
 # read-mostly and lru_cache is safe for concurrent readers.
 @lru_cache(maxsize=64)
-def chi_row(n: int) -> WeightVector:
-    """Head of the weight row at order n: w[0], w[1], ... while the
-    weights stay at or above sys.float_info.min.
+def chi_row(n: int) -> tuple[float, ...]:
+    """Head of the weight row at order n: the tuple w[0], w[1], ... while
+    the weights stay at or above sys.float_info.min; w[k] weights term k,
+    and every term from len(w) to n has weight zero.
 
     Weights are built by the running product, never via factorials, so
     there is no overflow for n > 170.  The row holds all n + 1 weights
@@ -102,30 +85,26 @@ def chi_row(n: int) -> WeightVector:
         if wk < sys.float_info.min:
             break
         w.append(wk)
-    return WeightVector(n=n, w=tuple(w))
+    return tuple(w)
 
 
-def averaging_row(n: int) -> AveragingRow:
+def averaging_row(n: int) -> tuple[float, ...]:
     """Averaging-form row a[k] = k*w[k]/n over the head of chi_row(n);
     entries sum to 1, and every entry past the head is zero."""
-    row = chi_row(n)
-    a = tuple(k * wk / n for k, wk in enumerate(row.w))
-    return AveragingRow(n=n, a=a)
+    return tuple(k * wk / n for k, wk in enumerate(chi_row(n)))
 
 
-def verify_toeplitz(row: AveragingRow) -> ToeplitzDiagnostics:
+def verify_toeplitz(row: Sequence[float]) -> ToeplitzDiagnostics:
     """Diagnostics for the regular-matrix row conditions.
 
     For this method the entries are nonnegative, so the absolute row sum
     equals the row sum.
     """
-    abs_row_sum = math.fsum(abs(x) for x in row.a)
-    row_sum = math.fsum(row.a)
     return ToeplitzDiagnostics(
-        abs_row_sum=abs_row_sum,
-        row_sum=row_sum,
-        max_entry=max(row.a),
-        nonnegative=all(x >= 0.0 for x in row.a),
+        abs_row_sum=math.fsum(map(abs, row)),
+        row_sum=math.fsum(row),
+        max_entry=max(row),
+        nonnegative=all(x >= 0.0 for x in row),
     )
 
 

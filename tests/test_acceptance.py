@@ -111,7 +111,7 @@ def test_criterion_05_boundary_constant():
 def test_criterion_06_first_moment_and_form_equivalence():
     failures = []
     for n in range(1, 1001):
-        w = chi_row(n).w
+        w = chi_row(n)
         gap = abs(math.fsum(k * wk for k, wk in enumerate(w)) - n)
         if gap > 1e-12 * n:
             failures.append(f"first moment off at n={n}: {gap:g}")
@@ -131,7 +131,7 @@ def test_criterion_06_first_moment_and_form_equivalence():
 def test_criterion_07_averaging_row_conditions():
     failures = []
     for n in list(range(1, 201)) + [1000]:
-        a = averaging_row(n).a
+        a = averaging_row(n)
         if any(x < 0.0 for x in a):
             failures.append(f"negative entry at n={n}")
             break
@@ -147,7 +147,7 @@ def test_criterion_07_averaging_row_conditions():
     # most k(k-1)/(2(n-k+1)), it decreases once n > (k-1)(k+2)/2.
     ns = (10, 100, 1000, 10000)
     for k in range(11):
-        col = [averaging_row(n).a[k] for n in ns]
+        col = [averaging_row(n)[k] for n in ns]
         tail = [a for n, a in zip(ns, col) if n > (k - 1) * (k + 2) / 2]
         if any(not 0.0 <= a <= k / n + 1e-12 for n, a in zip(ns, col)):
             failures.append(f"column k={k} outside [0, k/n]: {col}")

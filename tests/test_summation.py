@@ -217,6 +217,25 @@ class TestDoublePathOracle:
         assert got == pytest.approx(ref, rel=1e-13)
         assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
 
+    @given(
+        st.floats(min_value=-1.0, max_value=0.95),
+        st.integers(min_value=1, max_value=749),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_geometric_small_n_against_closed_form(self, x, n):
+        # Every row here holds all n + 1 weights (n <= 712) or nearly so.
+        try:
+            ref = closed_form_geometric(x, n) if x != 0.0 else 1.0
+        except mpmath.mp.NoConvergence:
+            ref = integral_geometric(x, n)
+        spec = catalog_lookup("geometric", x=x)
+        got = chi_sum(spec, n)
+        if ref == 0.0:  # x=-1 at n=1: S_1 = 1 + x is exactly 0
+            assert got == 0.0 and chi_limit(spec, n) == 0.0
+            return
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+
     def test_integral_matches_closed_form(self):
         for x, n in ((-1.0, 751), (0.3, 800), (0.95, 20000)):
             assert integral_geometric(x, n) == pytest.approx(
@@ -304,6 +323,32 @@ class TestDefinitionEquivalence:
                 a = chi_sum(spec, n)
                 b = chi_limit(spec, n)
                 assert abs(a - b) <= 1e-10 * (1 + abs(a))
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            # The partial sums cancel far: chi_limit takes the exact sum.
+            (catalog_lookup("geometric", x=-3.5), 400),
+            # x**k overflows inside the row.
+            (catalog_lookup("geometric", x=-3.3), 2000),
+            (catalog_lookup("geometric", x=-2.0), 1100),
+            (catalog_lookup("log1p_taylor", x=3.0), 400),
+            # The partial sums past the row are bounded, not dropped.
+            (load_custom({"coefficients": [0.0] * 1426 + [1e300]}), 2000),
+        ],
+        ids=["geometric-3.5", "geometric-3.3", "geometric-2", "log1p_taylor3",
+             "custom-past-row"],
+    )
+    def test_limit_shares_the_guard(self, spec, n):
+        assert chi_limit(spec, n) == pytest.approx(chi_sum(spec, n), rel=1e-12)
+
+    def test_limit_names_the_nonfinite_term(self):
+        bad = combine(
+            [catalog_lookup("alt_log"), catalog_lookup("geometric", x=1.07)],
+            [1.0, 1.0],
+        )
+        with pytest.raises(NumericError, match="index 10491$"):
+            chi_limit(bad, 20000)
 
 
 class TestLinearity:
@@ -428,7 +473,7 @@ class TestSettledSumFastPath:
         spec = catalog_lookup(name, x=x)
         r = chi_sweep(spec, self.GRID, accelerate=True)
         assert r.accelerated
-        assert r.value == partial_sums(spec, self.GRID[-1]).s[-1]
+        assert r.value == partial_sums(spec, self.GRID[-1])[-1]
         assert r.value == pytest.approx(spec.exact_value, rel=1e-15)
 
     @pytest.mark.parametrize(

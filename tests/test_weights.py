@@ -51,13 +51,13 @@ class TestChiWeight:
 
 class TestChiRow:
     def test_n2(self):
-        assert chi_row(2).w == (1.0, 1.0, 0.5)
+        assert chi_row(2) == (1.0, 1.0, 0.5)
 
     def test_n1(self):
-        assert chi_row(1).w == (1.0, 1.0)
+        assert chi_row(1) == (1.0, 1.0)
 
     def test_n3_first_moment_identity(self):
-        w = chi_row(3).w
+        w = chi_row(3)
         assert math.fsum(k * w[k] for k in range(4)) == pytest.approx(3.0, rel=1e-14)
         # hand values: 1*1 + 2*(2/3) + 3*(2/9) = 3
         assert w[2] == pytest.approx(2 / 3, rel=1e-15)
@@ -73,7 +73,7 @@ class TestChiRow:
     @given(st.integers(min_value=1, max_value=400))
     @settings(max_examples=40, deadline=None)
     def test_invariants(self, n):
-        w = chi_row(n).w
+        w = chi_row(n)
         assert len(w) == n + 1
         assert w[0] == 1.0
         assert w[1] == 1.0
@@ -85,7 +85,7 @@ class TestChiRow:
 
     def test_first_moment_identity_all_n_to_1000(self):
         for n in range(1, 1001):
-            w = chi_row(n).w
+            w = chi_row(n)
             assert abs(math.fsum(k * wk for k, wk in enumerate(w)) - n) <= 1e-12 * n
 
 
@@ -104,24 +104,24 @@ class TestRowHead:
 
     @pytest.mark.parametrize("n", [1, 2, 400, 712, 713, 750, 2000, 20000, 10**5])
     def test_stored_weights_are_normal(self, n):
-        w = chi_row(n).w
+        w = chi_row(n)
         assert len(w) <= n + 1
         assert min(w) >= sys.float_info.min
 
     @pytest.mark.parametrize("n", [750, 2000, 20000, 10**5])
     def test_head_is_the_full_recurrence(self, n):
-        w = chi_row(n).w
+        w = chi_row(n)
         full = full_recurrence(n)
         assert list(w) == full[: len(w)]
         assert len(w) < n + 1
         assert max(full[len(w) :]) < sys.float_info.min
 
     def test_rows_end_from_n_713(self):
-        assert len(chi_row(712).w) == 713
-        assert len(chi_row(713).w) == 713
+        assert len(chi_row(712)) == 713
+        assert len(chi_row(713)) == 713
 
     def test_row_at_a_million_is_short(self):
-        assert len(chi_row(10**6).w) < 40_000
+        assert len(chi_row(10**6)) < 40_000
 
     @pytest.mark.parametrize("n,k", [(750, 300), (2000, 1425), (20000, 5000)])
     def test_chi_weight_is_the_recurrence(self, n, k):
@@ -129,47 +129,47 @@ class TestRowHead:
 
     def test_chi_weight_past_the_head_is_zero(self):
         n = 2000
-        head = len(chi_row(n).w)
+        head = len(chi_row(n))
         assert chi_weight(n, head - 1) > 0.0
         assert chi_weight(n, head) == 0.0
         assert chi_weight(n, n) == 0.0
 
     def test_averaging_row_sums_to_one_at_large_n(self):
-        a = averaging_row(10**5).a
-        assert len(a) == len(chi_row(10**5).w)
+        a = averaging_row(10**5)
+        assert len(a) == len(chi_row(10**5))
         assert abs(math.fsum(a) - 1.0) <= 1e-12
 
     def test_cli_prints_n_plus_one_rows(self):
         out = io.StringIO()
         assert main(["--format", "json", "weights", "--n", "1000"], out=out) == 0
         data = json.loads(out.getvalue())["rows"]["data"]
-        head = len(chi_row(1000).w)
+        head = len(chi_row(1000))
         assert len(data) == 1001
         assert [r[0] for r in data] == list(range(1001))
-        assert [r[1] for r in data[:head]] == list(chi_row(1000).w)
+        assert [r[1] for r in data[:head]] == list(chi_row(1000))
         assert all(r[1:] == [0.0, 0.0] for r in data[head:])
 
 
 class TestAveragingRow:
     def test_n2(self):
-        assert averaging_row(2).a == (0.0, 0.5, 0.5)
+        assert averaging_row(2) == (0.0, 0.5, 0.5)
 
     def test_n1(self):
-        assert averaging_row(1).a == (0.0, 1.0)
+        assert averaging_row(1) == (0.0, 1.0)
 
     def test_n3(self):
-        a = averaging_row(3).a
+        a = averaging_row(3)
         assert a == pytest.approx((0.0, 1 / 3, 4 / 9, 2 / 9), rel=1e-14)
 
     def test_matches_weights_elementwise(self):
         n = 17
-        a = averaging_row(n).a
+        a = averaging_row(n)
         for k in range(n + 1):
             assert a[k] == pytest.approx(k * chi_weight(n, k) / n, abs=1e-300)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 33, 100, 1000])
     def test_probability_row(self, n):
-        a = averaging_row(n).a
+        a = averaging_row(n)
         assert a[0] == 0.0
         assert all(x >= 0.0 for x in a)
         assert abs(math.fsum(a) - 1.0) <= 1e-12
@@ -178,7 +178,7 @@ class TestAveragingRow:
         # Fixed column k tends to 0 as n grows (entry is at most k/n once
         # the weight has saturated; small n can still sit below that).
         for k in range(1, 11):
-            col = [averaging_row(n).a[k] for n in (100, 1000, 10000)]
+            col = [averaging_row(n)[k] for n in (100, 1000, 10000)]
             assert all(b < a for a, b in zip(col, col[1:]))
             assert col[-1] <= k / 10000 + 1e-12
 
