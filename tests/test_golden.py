@@ -9,6 +9,22 @@ that commit's source:
 
 A performance change must keep every pin; a change that moves one on
 purpose says which and why.
+
+Moved on purpose: four euler_transform pins, when the Euler transform
+became one exact binomial-weighted sum of the double terms, rounded
+once, in place of the halved float difference table.  The new value is
+the correctly rounded (E,1) mean of the terms; neither is closer to the
+mean of the exact terms (on alt_log at n = 100..2000 the table was 5 to
+156 ulp off, the sum is 12 to 190), since the rounding of the terms sets
+both errors.  They were re-pinned by running this script:
+
+    alt_harmonic_numbers n=100   0x1.62e42fefa39e6p-2  -> 0x1.62e42fefa39ecp-2 (+6 ulp)
+    alt_harmonic_numbers n=1500  0x1.62e42fefa3993p-2  -> 0x1.62e42fefa39e0p-2 (+77 ulp)
+    alt_log n=100               -0x1.ce6bb25aa131bp-3  -> -0x1.ce6bb25aa1322p-3 (-7 ulp)
+    alt_log n=1500              -0x1.ce6bb25aa12e1p-3  -> -0x1.ce6bb25aa12f7p-3 (-22 ulp)
+
+Every other pin, the n = 1 and 2 and every grandi Euler pin among them,
+is unchanged.
 """
 
 import pytest
@@ -184,12 +200,12 @@ GOLDEN = {
     'chi_sum log1p_taylor(2.0) n=5': '0x1.2862f5989df10p+0',
     'chi_sum log1p_taylor(2.0) n=50': '0x1.1a6336edf8456p+0',
     'euler_transform alt_harmonic_numbers n=1': '0x1.8000000000000p-2',
-    'euler_transform alt_harmonic_numbers n=100': '0x1.62e42fefa39e6p-2',
-    'euler_transform alt_harmonic_numbers n=1500': '0x1.62e42fefa3993p-2',
+    'euler_transform alt_harmonic_numbers n=100': '0x1.62e42fefa39ecp-2',
+    'euler_transform alt_harmonic_numbers n=1500': '0x1.62e42fefa39e0p-2',
     'euler_transform alt_harmonic_numbers n=2': '0x1.6aaaaaaaaaaaap-2',
     'euler_transform alt_log n=1': '-0x1.62e42fefa39efp-3',
-    'euler_transform alt_log n=100': '-0x1.ce6bb25aa131bp-3',
-    'euler_transform alt_log n=1500': '-0x1.ce6bb25aa12e1p-3',
+    'euler_transform alt_log n=100': '-0x1.ce6bb25aa1322p-3',
+    'euler_transform alt_log n=1500': '-0x1.ce6bb25aa12f7p-3',
     'euler_transform alt_log n=2': '-0x1.ac89b834770d3p-3',
     'euler_transform grandi n=1': '0x1.0000000000000p-1',
     'euler_transform grandi n=100': '0x1.0000000000000p-1',

@@ -4,11 +4,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chisum
@@ -204,13 +205,15 @@ class TestDoublePathOracle:
         st.floats(min_value=-1.0, max_value=0.95),
         st.integers(min_value=750, max_value=20000),
     )
+    @example(x=0.46875, n=8192)
     @settings(max_examples=40, deadline=None)
     def test_geometric_against_closed_form(self, x, n):
         try:
             ref = closed_form_geometric(x, n) if x != 0.0 else 1.0
-        except mpmath.mp.NoConvergence:
-            # gammainc's series fail for a few x > 0 with n/x far above n
-            # (x=0.5961102455617882, n=16503).
+        except (mpmath.mp.NoConvergence, ValueError):
+            # gammainc's series fail for a few x > 0 with n/x far above n:
+            # NoConvergence at x=0.5961102455617882, n=16503, and a
+            # ValueError from hypercomb at x=0.46875, n=8192.
             ref = integral_geometric(x, n)
         spec = catalog_lookup("geometric", x=x)
         got = chi_sum(spec, n)
@@ -226,7 +229,7 @@ class TestDoublePathOracle:
         # Every row here holds all n + 1 weights (n <= 712) or nearly so.
         try:
             ref = closed_form_geometric(x, n) if x != 0.0 else 1.0
-        except mpmath.mp.NoConvergence:
+        except (mpmath.mp.NoConvergence, ValueError):
             ref = integral_geometric(x, n)
         spec = catalog_lookup("geometric", x=x)
         got = chi_sum(spec, n)
@@ -517,6 +520,60 @@ class TestCesaro:
     def test_constant(self):
         assert cesaro_mean(coefficient_series([4.0]), 17) == 4.0
 
+    def test_nonfinite_term_names_index(self):
+        # a_1 = 1e300 * 1e10 is inf, and the partial sums gave a nan mean.
+        spec = load_custom({"coefficients": [1e300] * 3, "x": 1e10})
+        with pytest.raises(NumericError, match="index 1"):
+            cesaro_mean(spec, 2)
+
+    def test_partial_sum_past_double_range(self):
+        # s_1 = 2e308 is inf, and the mean was inf.
+        with pytest.raises(NumericError, match="overflow by order 1"):
+            cesaro_mean(coefficient_series([1e308, 1e308]), 1)
+
+
+def fraction_difference_table(terms):
+    """The Euler transform by its definition,
+    sum_j (-1)^j (D^j b)(0) / 2^(j+1) with b_k = (-1)^k a_k, in Fractions."""
+    b = [Fraction(t) * (-1) ** k for k, t in enumerate(terms)]
+    total = Fraction(0)
+    for j in range(len(b)):
+        total += Fraction((-1) ** j * b[0], 2 ** (j + 1))
+        b = [y - x for x, y in zip(b, b[1:])]
+    return total
+
+
+def float_difference_table(terms):
+    """The same sum in doubles, each difference row halved as it is
+    built, so row j holds (D^j b) / 2^j and does not overflow."""
+    b = [(-1.0 if k & 1 else 1.0) * t for k, t in enumerate(terms)]
+    total = 0.0
+    sign = 0.5
+    for _ in range(len(terms)):
+        total += sign * b[0]
+        sign = -sign
+        b = [(y - x) * 0.5 for x, y in zip(b, b[1:])]
+    return total
+
+
+@st.composite
+def euler_series(draw):
+    kind = draw(
+        st.sampled_from(
+            ("grandi", "alt_log", "alt_harmonic_numbers", "geometric", "custom")
+        )
+    )
+    if kind == "geometric":
+        return catalog_lookup(kind, x=draw(st.floats(min_value=-1.9, max_value=0.9)))
+    if kind == "custom":
+        coeffs = draw(
+            st.lists(
+                st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=201
+            )
+        )
+        return coefficient_series(coeffs)
+    return catalog_lookup(kind)
+
 
 class TestEulerTransform:
     def test_grandi_exact(self):
@@ -540,10 +597,60 @@ class TestEulerTransform:
     @pytest.mark.parametrize("n", [1100, 2000])
     @pytest.mark.parametrize("name", ["alt_log", "alt_harmonic_numbers"])
     def test_no_overflow_past_1024(self, name, n):
-        # Unscaled forward differences grow like 2^j and overflow past
-        # j of about 1024.
+        # 2^(n+1) and the binomial tails T_i leave double range from n of
+        # about 1024, as the unscaled forward differences D^j b do.
         spec = catalog_lookup(name)
         assert abs(euler_transform(spec, n) - spec.exact_value) <= 1e-12
+
+    @given(euler_series(), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=40, deadline=None)
+    def test_rounds_the_exact_difference_table(self, spec, n):
+        terms = list(islice(spec.terms(), n + 1))
+        assert euler_transform(spec, n) == float(fraction_difference_table(terms))
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 400, 1024, 1100, 2000])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            catalog_lookup("alt_log"),
+            catalog_lookup("alt_harmonic_numbers"),
+            catalog_lookup("geometric", x=-0.5),
+        ],
+        ids=["alt_log", "alt_harmonic_numbers", "geometric(-0.5)"],
+    )
+    def test_agrees_with_the_float_difference_table(self, spec, n):
+        terms = list(islice(spec.terms(), n + 1))
+        assert euler_transform(spec, n) == pytest.approx(
+            float_difference_table(terms), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "spec, index",
+        [
+            (coefficient_series([1.0, 2.0, math.nan, 4.0]), 2),
+            (coefficient_series([1.0, -math.inf]), 1),
+            (coefficient_series([math.inf, math.nan]), 0),
+            # a_1 = 1e300 * 1e10 is inf; the table returned inf.
+            (load_custom({"coefficients": [1e300] * 3, "x": 1e10}), 1),
+        ],
+        ids=["nan", "-inf", "inf-then-nan", "product"],
+    )
+    def test_nonfinite_term_names_index(self, spec, index):
+        with pytest.raises(NumericError, match=f"index {index}$"):
+            euler_transform(spec, 2)
+
+    def test_mean_past_double_range(self):
+        # E_2 = 1.5 * 1.5e308 for constant terms.
+        with pytest.raises(NumericError, match="overflows"):
+            euler_transform(coefficient_series([1.5e308] * 3), 2)
+
+    def test_stream_errors_pass_through(self):
+        with pytest.raises(OverflowError):
+            euler_transform(catalog_lookup("geometric", x=2.0), 1100)
+        with pytest.raises(DomainError):
+            euler_transform(catalog_lookup("bernoulli_power", x=0.5), 61)
+        with pytest.raises(DomainError):
+            euler_transform(catalog_lookup("grandi"), 0)
 
 
 class TestAbel:
