@@ -24,7 +24,7 @@ import mpmath  # noqa: F401
 # predicted_error is not called here, but bench/spans.py wraps it under
 # this module's name, so the binding stays.
 from .error_model import observed_error, predicted_error  # noqa: F401
-from .exceptions import AbelRadiusError, DomainError, SeriesFormatError
+from .exceptions import DomainError, NumericError, SeriesFormatError
 from .series import CATALOG_NAMES, catalog_lookup, load_custom
 from .special import bernoulli_gen_fn, solve_kappa
 from .summation import (
@@ -162,7 +162,7 @@ def _cmd_sum(args, out) -> int:
     for method in methods:
         try:
             results[method] = _COMPARE[method](spec, n_last)
-        except AbelRadiusError as exc:
+        except NumericError as exc:  # AbelRadiusError among them
             results[f"{method}_error"] = str(exc)
 
     record = {

@@ -50,8 +50,10 @@ class SeriesSpec:
     exact_value, when present, is the sanctioned assignment (ordinary
     limit or antilimit).  second_derivative is f''(x) of the generating
     function, used by the error predictor; it is None where it leaves
-    double range.  rational, when present, holds parts (x, c) with
-    a_k = sum c(k) * x**k, c(k) rational.
+    double range.  rational, when present, holds parts (x, c, bound)
+    with a_k = sum c(k) * x**k, c(k) rational, and bound(m) a float at
+    least sup_{k>=m} |c(k)|, so that the terms past m can be bounded
+    without reading them.
     """
 
     name: str
@@ -59,9 +61,9 @@ class SeriesSpec:
     exact_value: Optional[float] = None
     second_derivative: Optional[float] = None
     x: Optional[float] = None
-    rational: Optional[tuple[tuple[float, Callable[[int], Fraction]], ...]] = (
-        field(default=None, repr=False)
-    )
+    rational: Optional[
+        tuple[tuple[float, Callable[[int], Fraction], Callable[[int], float]], ...]
+    ] = field(default=None, repr=False)
     asymptotic_only: bool = False
 
     def term(self, k: int) -> float:
@@ -87,7 +89,7 @@ def _geometric(x: float) -> SeriesSpec:
             _unless_overflow(lambda: 2.0 / (1.0 - x) ** 3) if x != 1.0 else None
         ),
         x=x,
-        rational=((x, lambda k: 1),),
+        rational=((x, lambda k: 1, lambda m: 1.0),),
     )
 
 
@@ -99,7 +101,7 @@ def _grandi(name: str = "grandi") -> SeriesSpec:
         exact_value=0.5,
         second_derivative=0.25,
         x=-1.0,
-        rational=((-1.0, lambda k: 1),),
+        rational=((-1.0, lambda k: 1, lambda m: 1.0),),
     )
 
 
@@ -135,7 +137,10 @@ def _log1p_taylor(x: float) -> SeriesSpec:
             _unless_overflow(lambda: -1.0 / (1.0 + x) ** 2) if x != -1.0 else None
         ),
         x=x,
-        rational=((x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0),),
+        # |c(k)| = 1/k <= 1.
+        rational=(
+            (x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, lambda m: 1.0),
+        ),
     )
 
 
@@ -171,7 +176,13 @@ def _custom(
         terms=lambda: chain((c * xv**k for k, c in enumerate(coeffs)), repeat(0.0)),
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
-        rational=((xv, lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0),),
+        rational=(
+            (
+                xv,
+                lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0,
+                lambda m: max(map(abs, coeffs[m:]), default=0.0),
+            ),
+        ),
     )
 
 
@@ -286,6 +297,12 @@ def partial_sums(spec: SeriesSpec, n: int) -> tuple[float, ...]:
     return tuple(islice(_running_sums(spec), n + 1))
 
 
+def _product_up(a: float, b: float) -> float:
+    """a * b rounded up, for a, b >= 0: never below the exact product,
+    even where it underflows, and 0.0 only when a or b is."""
+    return math.nextafter(a * b, math.inf) if a and b else 0.0
+
+
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
     """Termwise linear combination of series: its stream zips the inputs'
     streams, and term k is the fsum of the weighted terms k.
@@ -314,9 +331,13 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
     rational = None
     if all(s.rational for s in specs) and all(map(math.isfinite, coefficients)):
         rational = tuple(
-            (x, lambda k, f=Fraction(c), part=part: f * part(k))
+            (
+                x,
+                lambda k, f=Fraction(c), part=part: f * part(k),
+                lambda m, a=abs(c), bound=bound: _product_up(a, bound(m)),
+            )
             for c, s in pairs
-            for x, part in s.rational
+            for x, part, bound in s.rational
         )
 
     return SeriesSpec(

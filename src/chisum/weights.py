@@ -17,7 +17,8 @@ sticks at the smallest subnormal, 5e-324, while the factor exceeds 1/2:
 at n = 20000 it stores 5e-324 for k = 5202..10000, where the true weight
 falls to about 1e-1332.  So a row stores no subnormal weight, and a
 cached row at n = 10**6 holds 37,404 entries instead of n + 1;
-summation.chi_sum bounds what the terms past the row could add.
+summation.chi_sum bounds what the terms past the row could add, in closed
+form for a series with a rational form and by reading them otherwise.
 """
 
 from __future__ import annotations

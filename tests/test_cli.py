@@ -176,6 +176,21 @@ class TestCompareCommand:
         assert "61 terms" in res["abel_error"]
         assert {"value", "cesaro", "euler"} <= res.keys()
 
+    def test_comparison_numeric_error_is_reported_not_fatal(self, tmp_path):
+        # The partial sums overflow from s_1 on, so the Cesaro mean fails;
+        # the chi sum and the Euler mean stay finite.
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"coefficients": [1e308, 1e308, -1e308, -1e308]}))
+        doc = run_json(
+            "sum", "--series", "custom", "--file", str(p), "--n", "3",
+            "--compare", "cesaro,euler",
+        )
+        res = doc["results"]
+        assert res["value"] == 1.1111111111111112e308
+        assert res["euler"] == 1.25e308
+        assert "cesaro" not in res
+        assert "overflow" in res["cesaro_error"]
+
     def test_unknown_method(self):
         code, _ = run_cli(
             "sum", "--series", "grandi", "--n", "10", "--compare", "borel"

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 from pathlib import Path
 
 import mpmath
@@ -19,6 +20,7 @@ from chisum.summation import (
     CONVERGED,
     DIVERGING,
     _exact_sum,
+    _tail_bound,
     abel_estimate,
     cesaro_mean,
     chi_limit,
@@ -28,6 +30,7 @@ from chisum.summation import (
     euler_transform,
     richardson_accelerate,
 )
+from chisum.weights import chi_row
 
 
 def coefficient_series(coeffs):
@@ -137,6 +140,41 @@ class TestClosedFormOracle:
         assert abs(got - ref) <= math.ulp(ref)
 
 
+def leaf_series():
+    """A catalog series with a rational form, or a custom series with up
+    to 3001 coefficients cycled from a short list."""
+    xs = st.floats(min_value=-4.0, max_value=4.0)
+    custom = st.builds(
+        lambda cs, size, x: load_custom(
+            {"coefficients": list(islice(cycle(cs), size)), "x": x}
+        ),
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=3001),
+        xs,
+    )
+    return st.one_of(
+        xs.map(lambda x: catalog_lookup("geometric", x=x)),
+        xs.map(lambda x: catalog_lookup("log1p_taylor", x=x)),
+        custom,
+    )
+
+
+@st.composite
+def rational_series(draw):
+    """A leaf series, or a combination of one to three of them."""
+    if draw(st.booleans()):
+        return draw(leaf_series())
+    specs = draw(st.lists(leaf_series(), min_size=1, max_size=3))
+    coefs = draw(
+        st.lists(
+            st.floats(min_value=-3.0, max_value=3.0),
+            min_size=len(specs),
+            max_size=len(specs),
+        )
+    )
+    return combine(specs, coefs)
+
+
 class TestTermsPastTheRow:
     # chi_row(n) ends at the first weight below sys.float_info.min (k=1426
     # at n=2000, 5082 at n=20000); the weights past it count as zero.
@@ -185,6 +223,63 @@ class TestTermsPastTheRow:
         got = chi_limit(spec, 2000)
         assert math.isfinite(got)
         assert got == pytest.approx(chi_sum(spec, 2000), rel=1e-12)
+
+    @pytest.mark.parametrize("huge", [1e300, 1e305])
+    def test_bounded_terms_that_move_the_sum_go_exact(self, huge):
+        # The term past the row adds 2.4e-10 of the sum at 1e300 and 2.4e-5
+        # at 1e305.  Nothing cancels, so the cancellation ratio cannot see
+        # it, and the double result left it out.
+        spec = load_custom({"coefficients": [1.0] * 1426 + [huge]})
+        assert chi_sum(spec, 2000) == _exact_sum(spec, 2000)
+
+    def test_reads_only_the_row_of_a_rational_series(self):
+        spec = catalog_lookup("geometric", x=0.9)
+        pulled = 0
+
+        def terms():
+            nonlocal pulled
+            for t in spec.terms():
+                pulled += 1
+                yield t
+
+        counted = dataclasses.replace(spec, terms=terms)
+        assert chi_sum(counted, 60000) == chi_sum(spec, 60000)
+        assert pulled == len(chi_row(60000)) < 60001
+
+    def test_zero_parts_take_no_power(self):
+        # (-2)**2000 overflows, but every coefficient past the row at
+        # n=2000 is zero, so the bound is 0 and the sum stays in doubles.
+        spec = load_custom({"coefficients": [1.0] * 600, "x": -2.0})
+        assert _tail_bound(spec, len(chi_row(2000)), 2000) == 0.0
+
+    @given(
+        rational_series(),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=3000),
+    )
+    # 0.03**k is subnormal from k=207 on, where the rounding of the terms
+    # outgrows any relative margin.
+    @example(catalog_lookup("geometric", x=0.03), 207, 3000)
+    # The part's bound, 1e-200 * 1e-200, underflows; its terms do not.
+    @example(
+        combine([load_custom({"coefficients": [1e-200] * 301, "x": 4.0})], [1e-200]),
+        300,
+        300,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tail_bound_covers_the_terms(self, spec, i, j):
+        m, n = min(i, j), max(i, j)
+        try:
+            tail = list(islice(spec.terms(), m, n + 1))
+        except (OverflowError, ValueError):  # ValueError: fsum of inf - inf
+            return
+        if not all(map(math.isfinite, tail)):
+            return
+        try:
+            ref = math.fsum(map(abs, tail))
+        except OverflowError:
+            ref = math.inf
+        assert _tail_bound(spec, m, n) >= ref
 
 
 def integral_geometric(x, n):
@@ -238,6 +333,43 @@ class TestDoublePathOracle:
             return
         assert got == pytest.approx(ref, rel=1e-13)
         assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+
+    # On (0.95, 1) the bound r**m / (1 - r) on the terms past the row
+    # overtakes their count, n - m + 1.
+    @given(
+        st.floats(min_value=0.95, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=1, max_value=20000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_geometric_just_below_one(self, x, n):
+        try:
+            ref = closed_form_geometric(x, n)
+        except (mpmath.mp.NoConvergence, ValueError):
+            ref = integral_geometric(x, n)
+        spec = catalog_lookup("geometric", x=x)
+        got = chi_sum(spec, n)
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+
+    # On (-2, -1) the weighted terms cancel, by up to the 1e8 at which the
+    # sum goes exact.  A double result is then only as good as the
+    # absolute sum S_n(|x|) times the roundings in each weighted term,
+    # about 2k of them for term k: at x=-1.3, n=400 it is 3e-10 off.
+    @given(
+        st.floats(min_value=-2.0, max_value=-1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=1, max_value=20000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_geometric_between_minus_two_and_minus_one(self, x, n):
+        ref = closed_form_geometric(x, n)
+        abs_sum = closed_form_geometric(-x, n)  # inf past double range
+        tol = 1e-13 * abs(ref) + 2 * (n + 1) * sys.float_info.epsilon * abs_sum
+        spec = catalog_lookup("geometric", x=x)
+        # chi_sum's cancellation ratio is abs_sum / |ref|; past 1e8 it is
+        # exact.  chi_limit's own ratio, over the partial sums, is smaller.
+        exact = abs_sum > 2e8 * abs(ref)
+        assert abs(chi_sum(spec, n) - ref) <= (1e-13 * abs(ref) if exact else tol)
+        assert abs(chi_limit(spec, n) - ref) <= tol
 
     def test_integral_matches_closed_form(self):
         for x, n in ((-1.0, 751), (0.3, 800), (0.95, 20000)):
@@ -530,6 +662,11 @@ class TestCesaro:
         # s_1 = 2e308 is inf, and the mean was inf.
         with pytest.raises(NumericError, match="overflow by order 1"):
             cesaro_mean(coefficient_series([1e308, 1e308]), 1)
+
+    def test_finite_partial_sums_whose_sum_overflows(self):
+        # fsum of the partial sums 1e308, 1e308, 1e308 leaves double
+        # range, but their mean does not.
+        assert cesaro_mean(coefficient_series([1e308]), 2) == 1e308
 
 
 def fraction_difference_table(terms):
