@@ -57,7 +57,6 @@ from .weights import (
     ToeplitzDiagnostics,
     averaging_row,
     chi_row,
-    chi_weight,
     exp_approx_gap,
     verify_toeplitz,
 )

@@ -24,7 +24,7 @@ import mpmath  # noqa: F401
 # predicted_error is not called here, but bench/spans.py wraps it under
 # this module's name, so the binding stays.
 from .error_model import observed_error, predicted_error  # noqa: F401
-from .exceptions import DomainError, NumericError, SeriesFormatError
+from .exceptions import DomainError, SeriesFormatError
 from .series import CATALOG_NAMES, catalog_lookup, load_custom
 from .special import bernoulli_gen_fn, solve_kappa
 from .summation import (
@@ -113,18 +113,12 @@ def _emit_text(record: dict, out) -> None:
         print(f"verdict = {record['verdict']}", file=out)
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
     try:
-        return tuple(int(s) for s in text.split(","))
+        return tuple(kind(s) for s in text.split(","))
     except ValueError as exc:
-        raise DomainError(f"bad integer list {text!r}") from exc
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(s) for s in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"bad number list {text!r}") from exc
+        what = "integer" if kind is int else "number"
+        raise DomainError(f"bad {what} list {text!r}") from exc
 
 
 def _resolve_series(args):
@@ -135,7 +129,7 @@ def _resolve_series(args):
     return catalog_lookup(args.series, x=args.x)
 
 
-def _cmd_sum(args, out) -> int:
+def _cmd_sum(args) -> dict:
     methods = [m for m in args.compare.split(",") if m]
     unknown = [m for m in methods if m not in _COMPARE]
     if unknown:
@@ -143,7 +137,7 @@ def _cmd_sum(args, out) -> int:
     if args.n is None and not args.n_grid:
         raise DomainError("need --n or --n-grid")
     spec = _resolve_series(args)
-    grid = _parse_grid(args.n_grid) if args.n_grid else (args.n,)
+    grid = _parse_list(args.n_grid, int) if args.n_grid else (args.n,)
     result = chi_sweep(spec, grid, accelerate=args.accelerate)
     n_last = grid[-1]
 
@@ -162,10 +156,10 @@ def _cmd_sum(args, out) -> int:
     for method in methods:
         try:
             results[method] = _COMPARE[method](spec, n_last)
-        except NumericError as exc:  # AbelRadiusError among them
+        except ArithmeticError as exc:  # AbelRadiusError, or a float overflow
             results[f"{method}_error"] = str(exc)
 
-    record = {
+    return {
         "command": "sum",
         "inputs": {
             "series": args.series,
@@ -179,13 +173,11 @@ def _cmd_sum(args, out) -> int:
             "data": [[n, v] for n, v in zip(grid, result.approximants)],
         },
     }
-    _emit(record, args.format, out)
-    return EXIT_OK
 
 
-def _cmd_table(args, out) -> int:
-    n_list = _parse_grid(args.n_list) if args.n_list else _TABLE_DEFAULT_N
-    x_list = _parse_floats(args.x_list) if args.x_list else _TABLE_DEFAULT_X
+def _cmd_table(args) -> dict:
+    n_list = _parse_list(args.n_list, int) if args.n_list else _TABLE_DEFAULT_N
+    x_list = _parse_list(args.x_list, float) if args.x_list else _TABLE_DEFAULT_X
     if any(n > 60 for n in n_list):
         raise DomainError("table orders are limited to n <= 60")
     header = ["n"] + [f"x={x:g}" for x in x_list]
@@ -196,32 +188,28 @@ def _cmd_table(args, out) -> int:
             row.append(chi_sum(catalog_lookup("bernoulli_power", x=x), n))
         data.append(row)
     data.append(["exact"] + [bernoulli_gen_fn(x) for x in x_list])
-    record = {
+    return {
         "command": "table",
         "inputs": {"n_list": list(n_list), "x_list": list(x_list)},
         "results": {},
         "rows": {"header": header, "data": data},
     }
-    _emit(record, args.format, out)
-    return EXIT_OK
 
 
-def _cmd_kappa(args, out) -> int:
+def _cmd_kappa(args) -> dict:
     value = solve_kappa(args.tol)
-    record = {
+    return {
         "command": "kappa",
         "inputs": {"tol": args.tol},
         "results": {"kappa": value},
     }
-    _emit(record, args.format, out)
-    return EXIT_OK
 
 
-def _cmd_weights(args, out) -> int:
+def _cmd_weights(args) -> dict:
     w = chi_row(args.n)
     avg = averaging_row(args.n)
     diag = verify_toeplitz(avg)
-    record = {
+    return {
         "command": "weights",
         "inputs": {"n": args.n},
         "results": {
@@ -238,11 +226,9 @@ def _cmd_weights(args, out) -> int:
                      for k in range(args.n + 1)],
         },
     }
-    _emit(record, args.format, out)
-    return EXIT_OK
 
 
-def _cmd_error(args, out) -> int:
+def _cmd_error(args) -> dict:
     spec = _resolve_series(args)
     if spec.second_derivative is None or spec.x is None:
         raise DomainError(
@@ -260,7 +246,7 @@ def _cmd_error(args, out) -> int:
         results["observed_error"] = err.observed
     if err.ratio is not None:
         results["ratio"] = err.ratio
-    record = {
+    return {
         "command": "error",
         "inputs": {
             "series": args.series,
@@ -269,8 +255,6 @@ def _cmd_error(args, out) -> int:
         },
         "results": results,
     }
-    _emit(record, args.format, out)
-    return EXIT_OK
 
 
 def _add_series_args(p: argparse.ArgumentParser) -> None:
@@ -343,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        return args.handler(args, out)
+        _emit(args.handler(args), args.format, out)
     except SeriesFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -353,6 +337,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ArithmeticError as exc:  # NumericError, or a float overflow
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def run() -> None:

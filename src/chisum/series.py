@@ -8,8 +8,7 @@ function at the evaluation point (for the asymptotic error predictor),
 and, when every term is rational, the exact form the summation engine
 uses when double precision cancels out.  Every consumer reads the terms
 in order from one stream, so a term that builds on the one before it
-(a harmonic number) costs O(1); term(k) is a point lookup over a fresh
-stream, for callers that want one term.
+(a harmonic number) costs O(1).
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ class SeriesSpec:
         tuple[tuple[float, Callable[[int], Fraction], Callable[[int], float]], ...]
     ] = field(default=None, repr=False)
     asymptotic_only: bool = False
-
-    def term(self, k: int) -> float:
-        """a_k, read off a fresh stream: a point lookup, O(k)."""
-        return next(islice(self.terms(), k, None))
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
@@ -305,7 +300,8 @@ def _product_up(a: float, b: float) -> float:
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
     """Termwise linear combination of series: its stream zips the inputs'
-    streams, and term k is the fsum of the weighted terms k.
+    streams, and term k is the fsum of the weighted terms k, or nan where
+    they sit at opposite infinities.
 
     The exact value is the same combination when every input carries
     one, and so is the rational form (the inputs' parts scaled by finite
@@ -321,8 +317,12 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
     coeffs = tuple(c for c, _ in pairs)
 
     def terms() -> Iterator[float]:
-        streams = zip(*(s.terms() for _, s in pairs))
-        return (math.fsum(map(mul, coeffs, ts)) for ts in streams)
+        for ts in zip(*(s.terms() for _, s in pairs)):
+            try:
+                t = math.fsum(map(mul, coeffs, ts))
+            except ValueError:  # parts at opposite infinities
+                t = math.nan
+            yield t
 
     exact = None
     if all(s.exact_value is not None for s in specs):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, pairwise
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -264,17 +264,15 @@ def chi_limit(spec: SeriesSpec, n: int) -> float:
 
 
 def classify_convergence(
-    approximants: Sequence[float],
-    n_grid: Sequence[int],
-    abs_tol: float = 1e-6,
-    rel_tol: float = 1e-4,
+    approximants: Sequence[float], n_grid: Sequence[int]
 ) -> str:
     """Verdict from the successive differences of a grid of approximants.
 
-    Converged when the last difference is inside tolerance, or when the
-    trailing differences are strictly shrinking.  Diverging when the
-    trailing differences are nondecreasing and have at least doubled
-    over the last three of them.  Inconclusive otherwise.
+    Converged when the last difference is within max(1e-6, 1e-4 * |last
+    approximant|).  Otherwise the rule reads the last two or three
+    differences: diverging when they are nondecreasing and the last is at
+    least twice the first, converged when they are strictly decreasing,
+    inconclusive otherwise.
     """
     if len(approximants) < 3 or len(approximants) != len(n_grid):
         raise DomainError("need at least 3 grid points with approximants")
@@ -282,20 +280,13 @@ def classify_convergence(
         abs(approximants[i + 1] - approximants[i])
         for i in range(len(approximants) - 1)
     ]
-    value = approximants[-1]
-    if d[-1] <= max(abs_tol, rel_tol * abs(value)):
+    if d[-1] <= max(1e-6, 1e-4 * abs(approximants[-1])):
         return CONVERGED
     tail = d[-3:]
-    if len(tail) == 3:
-        if tail[0] <= tail[1] <= tail[2] and tail[2] >= 2.0 * tail[0]:
-            return DIVERGING
-        if tail[0] > tail[1] > tail[2]:
-            return CONVERGED
-    else:  # exactly 3 grid points: two differences
-        if tail[1] >= 2.0 * tail[0]:
-            return DIVERGING
-        if tail[1] < tail[0]:
-            return CONVERGED
+    if all(a <= b for a, b in pairwise(tail)) and tail[-1] >= 2.0 * tail[0]:
+        return DIVERGING
+    if all(a > b for a, b in pairwise(tail)):
+        return CONVERGED
     return INCONCLUSIVE
 
 
@@ -345,18 +336,19 @@ def chi_sweep(
 ) -> ChiResult:
     """Approximants over an increasing n-grid, classified.
 
-    With accelerate=True, when the ordinary partial sums up to the
-    largest grid order have settled (ratio-test tail bound below
-    rounding), the reported value is that ordinary sum: the method is
-    regular (Silverman-Toeplitz), so the chi limit of a convergent
-    series is its ordinary sum, and the 1/n expansion that Richardson
-    relies on is only asymptotic near x = 1 (at x = 0.9 and n = 400 it
-    leaves an error of 0.58).  Otherwise the reported value is the
-    Richardson extrapolation of the last two approximants, but only when
-    two consecutive extrapolations agree to within the last raw
-    difference; an oscillatory boundary term otherwise corrupts the
-    extrapolation and the last raw approximant is kept.  accelerated is
-    set whenever value is not the last raw approximant; approximants
+    With accelerate=True the reported value is the first of:
+    - the ordinary partial sum up to the largest grid order, when it has
+      settled (ratio-test tail bound below rounding): the method is
+      regular (Silverman-Toeplitz), so the chi limit of a convergent
+      series is its ordinary sum, and the 1/n expansion that Richardson
+      relies on is only asymptotic near x = 1 (at x = 0.9 and n = 400 it
+      leaves an error of 0.58);
+    - the Richardson extrapolation of the last two approximants, when the
+      grid has two points or the last two extrapolations agree to within
+      the last raw difference (an oscillatory boundary term otherwise
+      corrupts it);
+    - the last raw approximant.
+    accelerated says whether one of the first two was taken; approximants
     are the same with or without accelerate.
     """
     grid = tuple(int(n) for n in n_grid)
@@ -366,24 +358,19 @@ def chi_sweep(
         raise DomainError("n-grid must be strictly increasing positive integers")
     approx = tuple(chi_sum(spec, n) for n in grid)
     verdict = classify_convergence(approx, grid) if len(grid) >= 3 else INCONCLUSIVE
-    value = approx[-1]
-    accelerated = False
-    settled = _settled_sum(spec, grid[-1]) if accelerate else None
-    if settled is not None:
-        value = settled
-        accelerated = True
-    elif accelerate and len(grid) >= 2:
-        r_last = richardson_accelerate(approx[-2], grid[-2], approx[-1], grid[-1])
-        if len(grid) >= 3:
-            r_prev = richardson_accelerate(
-                approx[-3], grid[-3], approx[-2], grid[-2]
-            )
-            if abs(r_last - r_prev) <= abs(approx[-1] - approx[-2]):
-                value = r_last
-                accelerated = True
-        else:
-            value = r_last
-            accelerated = True
+    value = None
+    if accelerate:
+        value = _settled_sum(spec, grid[-1])
+        if value is None and len(grid) >= 2:
+            r = [
+                richardson_accelerate(approx[i - 1], grid[i - 1], approx[i], grid[i])
+                for i in range(max(1, len(grid) - 2), len(grid))
+            ]
+            if len(r) == 1 or abs(r[-1] - r[-2]) <= abs(approx[-1] - approx[-2]):
+                value = r[-1]
+    accelerated = value is not None
+    if not accelerated:
+        value = approx[-1]
 
     error = None
     if spec.second_derivative is not None and spec.x is not None:

@@ -33,7 +33,6 @@ from .exceptions import DomainError
 
 __all__ = [
     "ToeplitzDiagnostics",
-    "chi_weight",
     "chi_row",
     "averaging_row",
     "verify_toeplitz",
@@ -49,20 +48,6 @@ class ToeplitzDiagnostics:
     row_sum: float
     max_entry: float
     nonnegative: bool
-
-
-def chi_weight(n: int, k: int) -> float:
-    """Weight of term k at order n: entry k of chi_row(n), or 0.0 past
-    the row's head.
-
-    Exact for k in {0, 1}.  Raises DomainError unless 0 <= k <= n.
-    """
-    if n < 1:
-        raise DomainError(f"order n must be positive, got {n}")
-    if k < 0 or k > n:
-        raise DomainError(f"index k={k} outside 0..{n}")
-    w = chi_row(n)
-    return w[k] if k < len(w) else 0.0
 
 
 # Rows are cached because sweeps revisit the same orders; the cache is

@@ -191,6 +191,20 @@ class TestCompareCommand:
         assert "cesaro" not in res
         assert "overflow" in res["cesaro_error"]
 
+    def test_comparison_overflow_is_reported_not_fatal(self, tmp_path):
+        # a_1 = 1e200 and a_2 = 1e400: the term stream raises OverflowError
+        # in both methods, while the chi sum of the rational form is 1.0.
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"coefficients": [1.0, 0.0, 0.0], "x": 1e200}))
+        doc = run_json(
+            "sum", "--series", "custom", "--file", str(p), "--n", "2",
+            "--compare", "cesaro,euler",
+        )
+        res = doc["results"]
+        assert res["value"] == 1.0
+        assert {"cesaro_error", "euler_error"} <= res.keys()
+        assert not {"cesaro", "euler"} & res.keys()
+
     def test_unknown_method(self):
         code, _ = run_cli(
             "sum", "--series", "grandi", "--n", "10", "--compare", "borel"

@@ -19,6 +19,7 @@ from chisum.series import catalog_lookup, combine, load_custom, partial_sums
 from chisum.summation import (
     CONVERGED,
     DIVERGING,
+    INCONCLUSIVE,
     _exact_sum,
     _tail_bound,
     abel_estimate,
@@ -58,6 +59,25 @@ class TestChiSum:
         bad = combine([catalog_lookup("alt_log"), huge], [0.0, 1.0])
         with pytest.raises(NumericError, match="index 1"):
             chi_sum(bad, 5)
+
+    # Terms 2 * 3**k and -2 * 3**k: both overflow to opposite infinities at
+    # k = 646, and the stream raises OverflowError from k = 647 on.
+    OPPOSED = [
+        load_custom({"coefficients": [c] * 700, "x": 3.0}) for c in (2.0, -2.0)
+    ]
+
+    def test_opposite_infinities_go_exact(self):
+        c = combine(self.OPPOSED, [1.0, 1.0])
+        assert chi_sum(c, 700) == 0.0
+        assert chi_limit(c, 700) == 0.0
+        assert _exact_sum(c, 700) == 0.0
+        r = chi_sweep(c, (100, 200, 700), accelerate=True)
+        assert r.approximants == (0.0, 0.0, 0.0)
+
+    def test_opposite_infinities_without_rational_form(self):
+        c = combine(self.OPPOSED + [catalog_lookup("alt_log")], [1.0, 1.0, 1.0])
+        with pytest.raises(NumericError, match="index 646"):
+            chi_sum(c, 700)
 
     def test_exact_result_out_of_range(self):
         # The exact sum is w_1 * 1e309, which no double can hold.
@@ -271,8 +291,9 @@ class TestTermsPastTheRow:
         m, n = min(i, j), max(i, j)
         try:
             tail = list(islice(spec.terms(), m, n + 1))
-        except (OverflowError, ValueError):  # ValueError: fsum of inf - inf
+        except OverflowError:
             return
+        # A combine whose parts sit at opposite infinities has a nan term.
         if not all(map(math.isfinite, tail)):
             return
         try:
@@ -540,6 +561,46 @@ class TestSweepAndClassification:
             == DIVERGING
         )
 
+    @staticmethod
+    def ladder(approximants):
+        # The two-branch rule classify_convergence replaced, kept as the
+        # reference: two differences and three are read by separate rules.
+        d = [abs(b - a) for a, b in zip(approximants, approximants[1:])]
+        if d[-1] <= max(1e-6, 1e-4 * abs(approximants[-1])):
+            return CONVERGED
+        tail = d[-3:]
+        if len(tail) == 3:
+            if tail[0] <= tail[1] <= tail[2] and tail[2] >= 2.0 * tail[0]:
+                return DIVERGING
+            if tail[0] > tail[1] > tail[2]:
+                return CONVERGED
+        else:
+            if tail[1] >= 2.0 * tail[0]:
+                return DIVERGING
+            if tail[1] < tail[0]:
+                return CONVERGED
+        return INCONCLUSIVE
+
+    @given(
+        st.lists(
+            st.one_of(
+                # Repeats give zero and tied differences; inf and nan give
+                # inf and nan differences.
+                st.sampled_from(
+                    [0.0, 1.0, -1.0, 2.0, 3.0, 5.0, 1e-7, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan]
+                ),
+                st.floats(),
+            ),
+            min_size=3,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_classify_matches_the_two_branch_ladder(self, approx):
+        grid = list(range(1, len(approx) + 1))
+        assert classify_convergence(approx, grid) == self.ladder(approx)
+
     def test_grid_validation(self):
         g = catalog_lookup("grandi")
         with pytest.raises(DomainError):
@@ -626,6 +687,20 @@ class TestSettledSumFastPath:
     )
     def test_does_not_fire_on_unsettled_series(self, spec, grid):
         r = chi_sweep(spec, grid, accelerate=True)
+        assert r.value == self.richardson_or_last(r)
+
+    @pytest.mark.parametrize(
+        "grid, accelerated",
+        [
+            ((40,), False),  # one point: nothing to extrapolate
+            ((20, 40), True),  # two points: Richardson, unchecked
+            ((20, 40, 80), True),  # extrapolations agree within 4.8e-6
+            ((5, 10, 20), False),  # extrapolations 0.108 apart
+        ],
+    )
+    def test_geometric_minus2_outcomes(self, grid, accelerated):
+        r = chi_sweep(catalog_lookup("geometric", x=-2.0), grid, accelerate=True)
+        assert r.accelerated is accelerated
         assert r.value == self.richardson_or_last(r)
 
     @pytest.mark.parametrize("x", [0.9, -2.0])

@@ -12,7 +12,6 @@ from chisum.exceptions import DomainError
 from chisum.weights import (
     averaging_row,
     chi_row,
-    chi_weight,
     exp_approx_gap,
     verify_toeplitz,
 )
@@ -24,28 +23,26 @@ def closed_form_weight(n, k):
 
 
 class TestChiWeight:
+    # Single weights w(k) = chi_row(n)[k].
+
     def test_empty_product(self):
-        assert chi_weight(10, 0) == 1.0
+        assert chi_row(10)[0] == 1.0
 
     def test_first_factor_is_one(self):
-        assert chi_weight(10, 1) == 1.0
+        assert chi_row(10)[1] == 1.0
 
     def test_full_row_end_against_closed_form(self):
-        assert chi_weight(4, 4) == pytest.approx(closed_form_weight(4, 4), rel=1e-14)
+        assert chi_row(4)[4] == pytest.approx(closed_form_weight(4, 4), rel=1e-14)
         assert closed_form_weight(4, 4) == 0.09375
 
-    @pytest.mark.parametrize("n,k", [(5, -1), (5, 6), (0, 0), (-3, 0)])
-    def test_domain_errors(self, n, k):
-        with pytest.raises(DomainError):
-            chi_weight(n, k)
-
     def test_fixed_k_limit(self):
-        # chi_weight(n, k) -> 1 as n grows, faster than 2k^2/n.
+        # chi_row(n)[k] -> 1 as n grows, faster than 2k^2/n.
+        w = chi_row(10**6)
         for k in range(21):
-            assert chi_weight(10**6, k) >= 1 - 2 * k**2 / 10**6
+            assert w[k] >= 1 - 2 * k**2 / 10**6
 
     def test_no_overflow_past_factorial_range(self):
-        w = chi_weight(500, 500)
+        w = chi_row(500)[500]
         assert 0.0 <= w < 1e-200
 
 
@@ -66,6 +63,8 @@ class TestChiRow:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             chi_row(0)
+        with pytest.raises(DomainError):
+            chi_row(-3)
 
     def test_rows_are_cached(self):
         assert chi_row(37) is chi_row(37)
@@ -125,14 +124,15 @@ class TestRowHead:
 
     @pytest.mark.parametrize("n,k", [(750, 300), (2000, 1425), (20000, 5000)])
     def test_chi_weight_is_the_recurrence(self, n, k):
-        assert chi_weight(n, k) == full_recurrence(n)[k]
+        assert chi_row(n)[k] == full_recurrence(n)[k]
 
     def test_chi_weight_past_the_head_is_zero(self):
+        # The head ends before the first weight below sys.float_info.min,
+        # and every weight past it counts as zero.
         n = 2000
-        head = len(chi_row(n))
-        assert chi_weight(n, head - 1) > 0.0
-        assert chi_weight(n, head) == 0.0
-        assert chi_weight(n, n) == 0.0
+        w, full = chi_row(n), full_recurrence(n)
+        assert w[-1] == full[len(w) - 1] > 0.0
+        assert full[len(w)] < sys.float_info.min
 
     def test_averaging_row_sums_to_one_at_large_n(self):
         a = averaging_row(10**5)
@@ -164,8 +164,10 @@ class TestAveragingRow:
     def test_matches_weights_elementwise(self):
         n = 17
         a = averaging_row(n)
+        w = chi_row(n)
+        assert len(a) == len(w) == n + 1
         for k in range(n + 1):
-            assert a[k] == pytest.approx(k * chi_weight(n, k) / n, abs=1e-300)
+            assert a[k] == pytest.approx(k * w[k] / n, abs=1e-300)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 33, 100, 1000])
     def test_probability_row(self, n):
