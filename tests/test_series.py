@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -256,7 +257,47 @@ _PARAMS = {
 }
 
 
+def _bernoulli_exact(m):
+    # B_0..B_m from sum_{j<=i} C(i+1, j) B_j = 0, then B_1 = +1/2.
+    b = [Fraction(1)]
+    for i in range(1, m + 1):
+        b.append(-sum(math.comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+    b[1] = -b[1]
+    return b
+
+
+_BERNOULLI = _bernoulli_exact(60)
+
+
+def _kth_term(name, k):
+    """Independent oracle for a_k of the _PARAMS instance, exact where rational."""
+    x = Fraction(_PARAMS.get(name, {}).get("x", 1.0))
+    sign = -1 if k & 1 else 1
+    if name == "geometric":
+        return x**k
+    if name in ("grandi", "alternating_unit"):
+        return sign
+    if name == "alt_harmonic_numbers":
+        return sign * sum(Fraction(1, j) for j in range(1, k + 2))
+    if name == "alt_log":
+        return sign * math.log1p(k)
+    if name == "log1p_taylor":
+        return -sign * x**k / k if k else 0
+    if name == "bernoulli_power":
+        return _BERNOULLI[k] * x**k
+    if name == "custom":
+        coeffs = _PARAMS["custom"]["coefficients"]
+        return Fraction(coeffs[k]) * x**k if k < len(coeffs) else 0
+    raise AssertionError(f"no oracle for {name}")
+
+
 class TestTermStreams:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_term_is_the_kth_stream_item(self, name):
+        spec = catalog_lookup(name, **_PARAMS.get(name, {}))
+        want = [float(_kth_term(name, k)) for k in range(61)]
+        assert head(spec, 61) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_each_call_is_a_fresh_stream(self, name):
         spec = catalog_lookup(name, **_PARAMS.get(name, {}))
