@@ -18,8 +18,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-# Unused, but bench/run.py::cli_probe times this import under chisum.cli.
+# Unused: bench/run.py::cli_probe times both imports under chisum.cli, and
+# raises KeyError when one of them is missing, so they stay, and stay in
+# pyproject.toml's dependencies, until the probe reads 0.0 s for a module
+# chisum.cli does not load.  The library itself imports neither.
 import mpmath  # noqa: F401
+import numpy  # noqa: F401
 
 # predicted_error is not called here, but bench/spans.py wraps it under
 # this module's name, so the binding stays.

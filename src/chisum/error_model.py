@@ -7,17 +7,19 @@ the leading error of the order-n approximant is
 
 so the method approaches from below where f is convex and from above
 where f is concave.  Everything here uses the f(x) - f_hat_n(x) sign
-convention.
+convention.  The empirical rate fit is the closed-form least-squares
+line through (log n, log|e|), so the module needs only the standard
+library.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericError
 
 __all__ = ["ErrorEstimate", "RateFit", "predicted_error", "observed_error", "rate_fit"]
 
@@ -64,18 +66,41 @@ def observed_error(approximant: float, exact: float) -> float:
 
 
 def rate_fit(n_grid: Sequence[int], errors: Sequence[float]) -> RateFit:
-    """Least-squares fit of log|e| = log C - p*log n.
+    """Least-squares fit of log|e| = log C - p*log n, in closed form.
 
-    All errors must be nonzero and share a sign; a sign change means the
-    log-linear model does not apply.
+    With u = log n, v = log|e| and u_bar, v_bar their means,
+
+        p = -sum (u - u_bar)(v - v_bar) / sum (u - u_bar)**2,
+        C = exp(v_bar + p * u_bar).
+
+    Raises DomainError unless there are at least 3 (n, error) pairs,
+    every order is finite and >= 1, the orders take at least two
+    distinct values of log n, and the errors are finite, nonzero and of
+    one sign (a sign change means the log-linear model does not apply).
+    Raises NumericError when C lies outside the normal double range.
     """
     if len(n_grid) != len(errors) or len(errors) < 3:
         raise DomainError("need at least 3 (n, error) pairs")
-    if any(e == 0.0 for e in errors):
-        raise DomainError("errors must be nonzero")
-    if any(e * errors[0] < 0.0 for e in errors):
+    if not all(1 <= n < math.inf for n in n_grid):
+        raise DomainError("orders must be finite and >= 1")
+    u = [math.log(n) for n in n_grid]
+    if len(set(u)) < 2:
+        raise DomainError("need at least two distinct orders")
+    if not all(0.0 < abs(e) < math.inf for e in errors):
+        raise DomainError("errors must be finite and nonzero")
+    if len({e > 0.0 for e in errors}) > 1:
         raise DomainError("errors change sign; power-law fit invalid")
-    logn = np.log(np.asarray(n_grid, dtype=float))
-    loge = np.log(np.abs(np.asarray(errors, dtype=float)))
-    slope, intercept = np.polyfit(logn, loge, 1)
-    return RateFit(C=float(np.exp(intercept)), p=float(-slope))
+    v = [math.log(abs(e)) for e in errors]
+    u_bar, v_bar = math.fsum(u) / len(u), math.fsum(v) / len(v)
+    du = [a - u_bar for a in u]
+    p = -math.fsum(a * (b - v_bar) for a, b in zip(du, v)) / math.fsum(
+        a * a for a in du
+    )
+    log_c = v_bar + p * u_bar
+    try:
+        C = math.exp(log_c)
+    except OverflowError:
+        C = math.inf
+    if not sys.float_info.min <= C < math.inf:
+        raise NumericError(f"C = exp({log_c!r}) lies outside the normal double range")
+    return RateFit(C=C, p=p)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, count, cycle, islice, repeat
 from operator import mul
@@ -89,15 +89,9 @@ def _geometric(x: float) -> SeriesSpec:
 
 
 def _grandi(name: str = "grandi") -> SeriesSpec:
-    # The Grandi series is geometric at x = -1.
-    return SeriesSpec(
-        name=name,
-        terms=lambda: cycle((1.0, -1.0)),
-        exact_value=0.5,
-        second_derivative=0.25,
-        x=-1.0,
-        rational=((-1.0, lambda k: 1, lambda m: 1.0),),
-    )
+    # The Grandi series is geometric at x = -1; the cycle is cheaper per
+    # term than x**k.
+    return replace(_geometric(-1.0), name=name, terms=lambda: cycle((1.0, -1.0)))
 
 
 def _alt_harmonic_numbers() -> SeriesSpec:
@@ -171,12 +165,17 @@ def _custom(
         terms=lambda: chain((c * xv**k for k, c in enumerate(coeffs)), repeat(0.0)),
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
+        # Only finite numbers have a rational form, as in combine.
         rational=(
             (
-                xv,
-                lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0,
-                lambda m: max(map(abs, coeffs[m:]), default=0.0),
-            ),
+                (
+                    xv,
+                    lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0,
+                    lambda m: max(map(abs, coeffs[m:]), default=0.0),
+                ),
+            )
+            if all(map(math.isfinite, (xv, *coeffs)))
+            else None
         ),
     )
 

@@ -465,8 +465,9 @@ def abel_estimate(
 
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
-    AbelRadiusError when the inner series overflows, or does not reach
-    its tail threshold within 10^6 terms or before its stream ends.
+    AbelRadiusError when a term or the running sum of the inner series
+    overflows, or when it does not reach its tail threshold within 10^6
+    terms or before its stream ends.
     """
     rs = tuple(float(r) for r in radii)
     if not rs or any(not (0.0 < r < 1.0) for r in rs):
@@ -490,12 +491,13 @@ def abel_estimate(
                 raise AbelRadiusError(
                     f"inner series has only {k} terms, too few at radius {r}"
                 ) from None
-            if not math.isfinite(t):
+            y = t - comp
+            s = acc + y
+            # A term that is not finite makes s not finite too.
+            if not math.isfinite(s):
                 raise AbelRadiusError(
                     f"inner series overflowed at radius {r} (term {k})"
                 )
-            y = t - comp
-            s = acc + y
             comp = (s - acc) - y
             acc = s
             rk *= r

@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chisum
 from chisum.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from chisum.series import CATALOG_NAMES
 
@@ -19,6 +24,25 @@ def run_json(*argv):
     code, text = run_cli("--format", "json", *argv)
     assert code == EXIT_OK
     return json.loads(text)
+
+
+def test_only_the_cli_imports_numpy_and_mpmath():
+    # The library needs only the standard library; chisum.cli imports both
+    # unused, because the benchmark's CLI probe times their imports.
+    code = (
+        "import sys\n"
+        "loaded = lambda: [m for m in ('mpmath', 'numpy') if m in sys.modules]\n"
+        "import chisum\n"
+        "print(loaded())\n"
+        "import chisum.cli\n"
+        "print(loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(chisum.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n['mpmath', 'numpy']\n"
 
 
 class TestSumCommand:

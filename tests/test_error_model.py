@@ -1,6 +1,10 @@
 import math
+import sys
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chisum.error_model import (
     ErrorEstimate,
@@ -8,7 +12,7 @@ from chisum.error_model import (
     predicted_error,
     rate_fit,
 )
-from chisum.exceptions import DomainError
+from chisum.exceptions import DomainError, NumericError
 from chisum.series import catalog_lookup
 from chisum.summation import chi_sum, chi_sweep
 
@@ -110,14 +114,60 @@ class TestRateFit:
         assert 0.9 <= fit.p <= 1.1
         assert fit.C == pytest.approx(4 / 27, rel=0.15)
 
-    def test_sign_change_rejected(self):
-        with pytest.raises(DomainError):
-            rate_fit([10, 20, 40], [1.0, -0.5, 0.25])
+    @pytest.mark.parametrize(
+        "grid,errors,match",
+        [
+            ([10, 20], [1.0, 0.5], "at least 3"),
+            ([10, 20, 40], [1.0, -0.5, 0.25], "change sign"),
+            # The product of the first two underflows to -0.0.
+            ([10, 20, 40], [1e-200, -1e-200, 1e-200], "change sign"),
+            ([10, 20, 40], [1.0, 0.0, 0.25], "nonzero"),
+            ([10, 10, 10], [1.0, 2.0, 3.0], "two distinct orders"),
+            ([0, 1, 2], [1.0, 2.0, 3.0], ">= 1"),
+            ([10, math.nan, 40], [1.0, 2.0, 3.0], ">= 1"),
+            ([10, 20, math.inf], [1.0, 2.0, 3.0], ">= 1"),
+            ([10, 20, 40], [math.inf, 1.0, 2.0], "finite"),
+            ([10, 20, 40], [1.0, math.nan, 2.0], "finite"),
+        ],
+        ids=["too-few", "sign-change", "sign-change-underflow", "zero-error",
+             "one-order", "order-0", "order-nan", "order-inf", "error-inf",
+             "error-nan"],
+    )
+    def test_degenerate_input_rejected(self, grid, errors, match):
+        with pytest.raises(DomainError, match=match):
+            rate_fit(grid, errors)
 
-    def test_zero_error_rejected(self):
-        with pytest.raises(DomainError):
-            rate_fit([10, 20, 40], [1.0, 0.0, 0.25])
+    @pytest.mark.parametrize(
+        "errors", [[1e300, 1e-300, 1e-300], [1e-300, 1e300, 1e300]],
+        ids=["overflow", "underflow"],
+    )
+    def test_c_past_double_range(self, errors):
+        with pytest.raises(NumericError, match="outside the normal double range"):
+            rate_fit([100000, 200000, 400000], errors)
 
-    def test_too_few_points(self):
-        with pytest.raises(DomainError):
-            rate_fit([10, 20], [1.0, 0.5])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.lists(st.integers(1, 10**6), min_size=3, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_matches_the_closed_form_in_50_digits(self, grid, data):
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        errors = [sign * data.draw(st.floats(1e-300, 1e300)) for _ in grid]
+        with mpmath.workdps(50):
+            u = [mpmath.log(n) for n in grid]
+            v = [mpmath.log(abs(mpmath.mpf(e))) for e in errors]
+            u_bar, v_bar = mpmath.fsum(u) / len(u), mpmath.fsum(v) / len(v)
+            p = -mpmath.fsum(
+                (a - u_bar) * (b - v_bar) for a, b in zip(u, v)
+            ) / mpmath.fsum((a - u_bar) ** 2 for a in u)
+            log_c = v_bar + p * u_bar
+        lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+        # Within rounding of the range's ends either outcome is right.
+        assume(abs(log_c - lo) > 1e-6 and abs(log_c - hi) > 1e-6)
+        if not lo < log_c < hi:
+            with pytest.raises(NumericError):
+                rate_fit(grid, errors)
+            return
+        fit = rate_fit(grid, errors)
+        assert abs(fit.p - p) <= 1e-11 * (1 + abs(p))
+        assert abs(fit.C - mpmath.exp(log_c)) <= 1e-9 * mpmath.exp(log_c)

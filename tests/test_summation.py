@@ -60,6 +60,23 @@ class TestChiSum:
         with pytest.raises(NumericError, match="index 1"):
             chi_sum(bad, 5)
 
+    @pytest.mark.parametrize("method", [chi_sum, chi_limit])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"coefficients": [1.0, math.nan], "x": 0.5},
+            {"coefficients": [1.0, 1.0], "x": math.inf},
+        ],
+        ids=["nan-coefficient", "inf-x"],
+    )
+    def test_nonfinite_custom_input_names_index(self, params, method):
+        # Only finite input has a rational form, so nothing is redone
+        # exactly from a nan or an inf.
+        spec = catalog_lookup("custom", **params)
+        assert spec.rational is None
+        with pytest.raises(NumericError, match="index 1$"):
+            method(spec, 5)
+
     # Terms 2 * 3**k and -2 * 3**k: both overflow to opposite infinities at
     # k = 646, and the stream raises OverflowError from k = 647 on.
     OPPOSED = [
@@ -887,6 +904,24 @@ class TestAbel:
         spec = catalog_lookup("bernoulli_power", x=0.5)
         with pytest.raises(AbelRadiusError, match="only 61 terms"):
             abel_estimate(spec, (0.9,))
+
+    def test_overflowing_sum_stops_at_once(self):
+        # Each term is finite, but their sum overflows at term 1, where the
+        # compensation turns nan and no stop test could pass.
+        base = load_custom({"coefficients": [1e308, 1e308]})
+        pulled = []
+
+        def terms():
+            for t in base.terms():
+                pulled.append(t)
+                yield t
+
+        spec = dataclasses.replace(base, terms=terms)
+        with pytest.raises(
+            AbelRadiusError, match=r"overflowed at radius 0\.9 \(term 1\)$"
+        ):
+            abel_estimate(spec, (0.9,))
+        assert len(pulled) == 2
 
     def test_geometric_minus2_not_abel_summable(self):
         with pytest.raises(AbelRadiusError):
