@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -82,8 +83,6 @@ def _emit_csv(record: dict, out) -> None:
     else:
         flat = dict(record.get("inputs", {}))
         flat.update(record.get("results", {}))
-        if record.get("verdict") is not None:
-            flat["verdict"] = record["verdict"]
         keys = [k for k, v in flat.items() if not isinstance(v, (list, dict))]
         writer.writerow(keys)
         writer.writerow(
@@ -115,6 +114,13 @@ def _emit_text(record: dict, out) -> None:
             print(f"{k} = {v}", file=out)
     if record.get("verdict") is not None:
         print(f"verdict = {record['verdict']}", file=out)
+
+
+def _finite(text: str) -> float:
+    """A number option, which JSON output echoes: nan and inf are errors."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
 
 
 def _parse_list(text: str, kind: type) -> tuple:
@@ -150,9 +156,9 @@ def _cmd_sum(args) -> dict:
         results["accelerated"] = True
     if spec.exact_value is not None:
         results["exact"] = spec.exact_value
-        results["observed_error"] = observed_error(
-            result.approximants[-1], spec.exact_value
-        )
+        error = observed_error(result.approximants[-1], spec.exact_value)
+        if math.isfinite(error):  # a difference of two doubles may overflow
+            results["observed_error"] = error
     if result.error is not None:
         results["predicted_error"] = result.error.predicted
         if result.error.ratio is not None:
@@ -160,7 +166,7 @@ def _cmd_sum(args) -> dict:
     for method in methods:
         try:
             results[method] = _COMPARE[method](spec, n_last)
-        except ArithmeticError as exc:  # AbelRadiusError, or a float overflow
+        except ArithmeticError as exc:  # AbelRadiusError or NumericError
             results[f"{method}_error"] = str(exc)
 
     return {
@@ -263,7 +269,7 @@ def _cmd_error(args) -> dict:
 
 def _add_series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--series", required=True, help=f"one of {CATALOG_NAMES}")
-    p.add_argument("--x", type=float, default=None, help="series parameter")
+    p.add_argument("--x", type=_finite, default=None, help="series parameter")
     p.add_argument("--file", default=None, help="custom series JSON file")
 
 
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=_finite, default=1e-10)
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_sum_parser(sub, "sum", "chi-sum a series", compare="")

@@ -43,9 +43,9 @@ __all__ = [
 class SeriesSpec:
     """A term stream with optional reference data.
 
-    terms() returns a fresh, unbounded iterator over a_0, a_1, ...; it
-    may raise OverflowError at a term past double range, and a series
-    with finitely many terms defined raises DomainError past them.
+    terms() returns a fresh, unbounded iterator over a_0, a_1, ...; a
+    term past double range is +-inf or nan, never an exception, and a
+    series with finitely many terms defined raises DomainError past them.
     exact_value, when present, is the sanctioned assignment (ordinary
     limit or antilimit).  second_derivative is f''(x) of the generating
     function, used by the error predictor; it is None where it leaves
@@ -74,11 +74,20 @@ def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
         return None
 
 
+def _powers(x: float) -> Iterator[float]:
+    """x**k for k = 0, 1, ... (not a running product, which rounds
+    differently); past double range, copysign(inf, x)**k, signs intact."""
+    try:
+        for k in count():
+            yield x**k
+    except OverflowError:
+        yield from map(pow, repeat(math.copysign(math.inf, x)), count(k))
+
+
 def _geometric(x: float) -> SeriesSpec:
     return SeriesSpec(
         name="geometric",
-        # x**k, not a running product, which rounds differently.
-        terms=lambda: (x**k for k in count()),
+        terms=lambda: _powers(x),
         exact_value=1.0 / (1.0 - x) if x < 1.0 else None,
         second_derivative=(
             _unless_overflow(lambda: 2.0 / (1.0 - x) ** 3) if x != 1.0 else None
@@ -115,8 +124,8 @@ def _alt_log() -> SeriesSpec:
 def _log1p_taylor(x: float) -> SeriesSpec:
     def terms() -> Iterator[float]:
         yield 0.0
-        for k in count(1):
-            yield (-(x**k) if k & 1 == 0 else x**k) / k
+        for k, p in zip(count(1), islice(_powers(x), 1, None)):
+            yield (p if k & 1 else -p) / k
 
     return SeriesSpec(
         name="log1p_taylor",
@@ -137,11 +146,8 @@ def _bernoulli_power(x: float) -> SeriesSpec:
     table = bernoulli_numbers(60)
 
     def terms() -> Iterator[float]:
-        for k, b in enumerate(table.values):
-            yield b * x**k
-        raise DomainError(
-            f"bernoulli_power terms available up to k={len(table) - 1}"
-        )
+        yield from map(mul, table.values, _powers(x))
+        raise DomainError(f"bernoulli_power terms available up to k={len(table) - 1}")
 
     return SeriesSpec(
         name="bernoulli_power",
@@ -162,7 +168,7 @@ def _custom(
 
     return SeriesSpec(
         name="custom",
-        terms=lambda: chain((c * xv**k for k, c in enumerate(coeffs)), repeat(0.0)),
+        terms=lambda: chain(map(mul, coeffs, _powers(xv)), repeat(0.0)),
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
         # Only finite numbers have a rational form, as in combine.
@@ -273,7 +279,7 @@ def load_custom(source) -> SeriesSpec:
 
 def _running_sums(spec: SeriesSpec) -> Iterator[float]:
     """s_0, s_1, ... with compensated accumulation, one term pulled per
-    sum; an OverflowError from the term stream passes through."""
+    sum; once one is not finite (+-inf or nan), so is every later one."""
     acc = 0.0
     comp = 0.0
     for a in spec.terms():
@@ -285,7 +291,7 @@ def _running_sums(spec: SeriesSpec) -> Iterator[float]:
 
 
 def partial_sums(spec: SeriesSpec, n: int) -> tuple[float, ...]:
-    """Prefix sums s[k] = a_0 + ... + a_k for k = 0..n, compensated."""
+    """Compensated prefix sums s_0..s_n, not finite from one past range on."""
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     return tuple(islice(_running_sums(spec), n + 1))
@@ -299,8 +305,8 @@ def _product_up(a: float, b: float) -> float:
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
     """Termwise linear combination of series: its stream zips the inputs'
-    streams, and term k is the fsum of the weighted terms k, or nan where
-    they sit at opposite infinities.
+    streams; term k is the fsum of the weighted terms k, or their plain
+    sum, +-inf or nan, where fsum overflows or meets opposite infinities.
 
     The exact value is the same combination when every input carries
     one, and so is the rational form (the inputs' parts scaled by finite
@@ -319,8 +325,8 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
         for ts in zip(*(s.terms() for _, s in pairs)):
             try:
                 t = math.fsum(map(mul, coeffs, ts))
-            except ValueError:  # parts at opposite infinities
-                t = math.nan
+            except (OverflowError, ValueError):  # past range, or inf - inf
+                t = sum(map(mul, coeffs, ts))
             yield t
 
     exact = None

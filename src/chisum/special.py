@@ -139,11 +139,11 @@ def bernoulli_gen_fn(x: float) -> float:
     """Generating function h(x) that the Bernoulli power series tracks
     asymptotically: (1/x) * trigamma(1 + 1/x) + x for x > 0.
 
-    h(0) = 1 by continuity.  For x < 0 the direct formula hits the
-    trigamma pole, so the single-odd-term parity identity
-    h(x) = h(-x) + x is used instead.
+    h(x) = 1 + x/2 + O(x**2) rounds to 1.0 for |x| < 2**-54, where 1/x
+    may overflow.  For x < 0 the direct formula hits the trigamma pole,
+    so the single-odd-term parity identity h(x) = h(-x) + x is used.
     """
-    if x == 0.0:
+    if abs(x) < 2**-54:
         return 1.0
     if x < 0.0:
         return bernoulli_gen_fn(-x) + x

@@ -124,16 +124,10 @@ def _exact_sum(spec: SeriesSpec, n: int) -> float:
 
 
 def _first_nonfinite(spec: SeriesSpec, n: int) -> Optional[int]:
-    """Index of the first of a_0..a_n that is not finite or raises
-    OverflowError, or None when all of them are finite."""
-    k = -1
-    try:
-        for k, t in enumerate(islice(spec.terms(), n + 1)):
-            if not math.isfinite(t):
-                return k
-    except OverflowError:
-        return k + 1
-    return None
+    """Index of the first of a_0..a_n that is not finite, or None when
+    all of them are finite."""
+    terms = enumerate(islice(spec.terms(), n + 1))
+    return next((k for k, t in terms if not math.isfinite(t)), None)
 
 
 def _tail_bound(spec: SeriesSpec, m: int, n: int) -> float:
@@ -198,14 +192,11 @@ def _guarded_sum(
     non-finite term raises NumericError naming its index.  A sum that
     leaves double range raises NumericError.
     """
-    try:
-        # The row comes first, so map stops after len(row) values and
-        # never pulls the value past them; islice then stops at x_n.
-        terms = list(map(mul, row, stream))
-        if tail is None:
-            tail = sum(map(abs, islice(stream, n + 1 - len(row))))
-    except OverflowError:
-        terms, tail = [], math.inf
+    # The row comes first, so map stops after len(row) values and never
+    # pulls the value past them; islice then stops at x_n.
+    terms = list(map(mul, row, stream))
+    if tail is None:
+        tail = sum(map(abs, islice(stream, n + 1 - len(row))))
     # Sums of nonnegative terms, within n*eps of exact: good enough to
     # compare with _COND_LIMIT.  abs_sum is not finite when a term is not
     # (0 * inf is nan) or a sum leaves double range.
@@ -308,24 +299,21 @@ def _settled_sum(spec: SeriesSpec, n: int) -> Optional[float]:
     some rho < 1, and the geometric tail bound |a_n| * rho / (1 - rho)
     is below half an ulp of s_n.  The bound takes the ratios past n to
     stay within rho, as they do for geometric and log-type terms.  A
-    term that overflows means not settled; so does a series marked
-    asymptotic only.
+    term or sum that is not finite means not settled; so does a series
+    marked asymptotic only.
     """
     if spec.asymptotic_only:
         return None
     rho = 0.0
-    try:
-        window = islice(spec.terms(), n // 2, n + 1)
-        prev = abs(next(window))
-        for t in window:
-            cur = abs(t)
-            if not 0.0 < cur < prev < math.inf:
-                return None
-            rho = max(rho, cur / prev)
-            prev = cur
-        s = partial_sums(spec, n)[-1]
-    except OverflowError:
-        return None
+    window = islice(spec.terms(), n // 2, n + 1)
+    prev = abs(next(window))
+    for t in window:
+        cur = abs(t)
+        if not 0.0 < cur < prev < math.inf:
+            return None
+        rho = max(rho, cur / prev)
+        prev = cur
+    s = partial_sums(spec, n)[-1]
     if not math.isfinite(s) or prev * rho / (1.0 - rho) > 0.5 * math.ulp(s):
         return None
     return s
@@ -367,7 +355,7 @@ def chi_sweep(
                 for i in range(max(1, len(grid) - 2), len(grid))
             ]
             if len(r) == 1 or abs(r[-1] - r[-2]) <= abs(approx[-1] - approx[-2]):
-                value = r[-1]
+                value = r[-1] if math.isfinite(r[-1]) else None
     accelerated = value is not None
     if not accelerated:
         value = approx[-1]
@@ -466,8 +454,8 @@ def abel_estimate(
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
     AbelRadiusError when a term or the running sum of the inner series
-    overflows, or when it does not reach its tail threshold within 10^6
-    terms or before its stream ends.
+    is not finite, or when it does not reach its tail threshold within
+    10^6 terms or before its stream ends.
     """
     rs = tuple(float(r) for r in radii)
     if not rs or any(not (0.0 < r < 1.0) for r in rs):
@@ -485,8 +473,6 @@ def abel_estimate(
         for k in range(10**6):
             try:
                 t = next(terms) * rk
-            except OverflowError:
-                t = math.inf
             except DomainError:  # a finite stream, such as bernoulli_power
                 raise AbelRadiusError(
                     f"inner series has only {k} terms, too few at radius {r}"

@@ -20,10 +20,19 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
+def strict_json(text):
+    """The document, parsed without Python's NaN and Infinity extension."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_json(*argv):
     code, text = run_cli("--format", "json", *argv)
     assert code == EXIT_OK
-    return json.loads(text)
+    return strict_json(text)
 
 
 def test_only_the_cli_imports_numpy_and_mpmath():
@@ -76,6 +85,48 @@ class TestSumCommand:
         assert doc["results"]["value"] == pytest.approx(2.0, abs=1e-3)
         assert doc["results"].get("accelerated") is True
 
+    def test_accelerated_past_double_range(self):
+        # Richardson on 2.978e154 and 4.998e307 overflows; the raw last
+        # approximant is reported instead of inf.
+        code, text = run_cli(
+            "sum", "--series", "geometric", "--x", "91.26",
+            "--n-grid", "100,200", "--accelerate",
+        )
+        assert code == EXIT_OK
+        assert "value = 4.997541475244785e+307\n" in text
+        assert "accelerated" not in text
+
+    def test_exact_near_zero_is_strict_json(self):
+        # 1/x overflows for |x| below about 5.6e-309; h(x) rounds to 1.0.
+        doc = run_json("sum", "--series", "bernoulli_power", "--x", "1e-310", "--n", "5")
+        assert doc["results"]["exact"] == 1.0
+        assert doc["results"]["observed_error"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--series", "grandi", "--x=nan", "--n", "3"],
+            ["--tol=inf", "kappa"],
+        ],
+        ids=["ignored-x", "tol"],
+    )
+    def test_nonfinite_option_exit_2(self, argv):
+        # JSON output echoes its inputs, and has no nan or inf to echo.
+        code, _ = run_cli("--format", "json", *argv)
+        assert code == EXIT_USAGE
+
+    def test_observed_error_past_double_range_is_left_out(self, tmp_path):
+        # exact - value is 2e308, which no double holds.
+        p = tmp_path / "series.json"
+        p.write_text(json.dumps({"coefficients": [-1e308], "exact": 1e308}))
+        doc = run_json("sum", "--series", "custom", "--file", str(p), "--n", "3")
+        assert doc["results"]["value"] == -1e308
+        assert "observed_error" not in doc["results"]
+
+    def test_custom_without_file_exit_2(self):
+        code, _ = run_cli("sum", "--series", "custom", "--n", "10")
+        assert code == EXIT_USAGE
+
     def test_unknown_series_exit_2(self):
         code, _ = run_cli("sum", "--series", "nope", "--n", "10")
         assert code == EXIT_USAGE
@@ -108,6 +159,12 @@ class TestSumCommand:
     def test_nonfinite_x_exit_2(self, x):
         code, _ = run_cli("sum", "--series", "geometric", f"--x={x}", "--n", "10")
         assert code == EXIT_USAGE
+
+    def test_custom_coefficient_past_double_range_exit_3(self, tmp_path):
+        p = tmp_path / "series.json"
+        p.write_text(json.dumps({"coefficients": [1, 10**400]}))
+        code, _ = run_cli("sum", "--series", "custom", "--file", str(p), "--n", "10")
+        assert code == EXIT_PARSE
 
     def test_custom_non_numeric_x_exit_3(self, tmp_path):
         p = tmp_path / "series.json"
@@ -229,6 +286,15 @@ class TestCompareCommand:
         assert {"cesaro_error", "euler_error"} <= res.keys()
         assert not {"cesaro", "euler"} & res.keys()
 
+    def test_terms_past_double_range_name_their_index(self):
+        # 2**1024 is past double range; the chi sum is exact and finite.
+        doc = run_json("compare", "--series", "geometric", "--x", "2", "--n", "1100")
+        res = doc["results"]
+        assert res["cesaro_error"] == res["euler_error"] == (
+            "non-finite term at index 1024"
+        )
+        assert res["value"] == 1.5518486453371747e94
+
     def test_unknown_method(self):
         code, _ = run_cli(
             "sum", "--series", "grandi", "--n", "10", "--compare", "borel"
@@ -252,6 +318,13 @@ class TestTableCommand:
         ix0 = doc["rows"]["header"].index("x=0") - 1
         for row in doc["rows"]["data"]:
             assert row[1:][ix0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_exact_row_near_zero(self):
+        code, text = run_cli(
+            "--format", "csv", "table", "--x-list", "1e-310,0.5", "--n-list", "20"
+        )
+        assert code == EXIT_OK
+        assert text.splitlines()[-1].startswith("exact,1.0,")
 
     def test_window_enforced(self):
         code, _ = run_cli("table", "--n-list", "65")
@@ -336,6 +409,12 @@ class TestFormats:
         assert code == EXIT_OK
         assert "value" in text
 
+    def test_text_format_prints_verdict(self):
+        code, text = run_cli("sum", "--series", "geometric", "--x", "-2",
+                             "--n-grid", "10,20,40,80")
+        assert code == EXIT_OK
+        assert text.endswith("verdict = converged\n")
+
     def test_json_is_single_document(self):
         _, text = run_cli("--format", "json", "kappa")
         json.loads(text)
@@ -419,5 +498,8 @@ class TestFuzz:
         path = tmp_path / "series.json"
         path.write_bytes(document)
         argv = [str(path) if a == "{file}" else a for a in argv]
-        code = main(argv, out=io.StringIO())
+        out = io.StringIO()
+        code = main(argv, out=out)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_NUMERIC)
+        if code == EXIT_OK and argv[1] == "json":
+            strict_json(out.getvalue())

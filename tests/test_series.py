@@ -137,6 +137,13 @@ class TestPartialSums:
         s = partial_sums(spec, 2000)
         assert s[-1] == pytest.approx(spec.exact_value, abs=1e-6)
 
+    def test_sums_past_double_range_are_not_finite(self):
+        # s_1023 = 2**1024 - 1 rounds past double range; no exception.
+        s = partial_sums(catalog_lookup("geometric", x=2.0), 1100)
+        assert all(map(math.isfinite, s[:1023]))
+        assert s[1023] == math.inf
+        assert not any(map(math.isfinite, s[1023:]))
+
     def test_negative_n(self):
         with pytest.raises(DomainError):
             partial_sums(catalog_lookup("grandi"), -1)
@@ -322,3 +329,58 @@ class TestTermStreams:
     def test_custom_stream_is_zero_past_coefficients(self):
         spec = catalog_lookup("custom", coefficients=[1.0, 2.0], x=3.0)
         assert list(islice(spec.terms(), 5)) == [1.0, 6.0, 0.0, 0.0, 0.0]
+
+
+
+def _past_range(c, x, k):
+    """What term k = c(k) * x**k of a stream must be, with c(k) and x
+    exact: the term's infinity when the power or the term is past double
+    range, nan where a zero coefficient meets an infinite power, "finite"
+    well inside the range, and None near its edge, where rounding
+    decides."""
+    power, term = abs(x) ** k, c(k) * x**k
+    edge, past = 2**1020, 2**1025
+    if power >= past or (power < edge and abs(term) >= past):
+        return "nan" if term == 0 else math.inf if term > 0 else -math.inf
+    if max(power, abs(term)) < edge:
+        return "finite"
+    return None
+
+
+_BIG = [1.0, -2.0, 0.0, 3.0, -1.0]
+_OPPOSED = [load_custom({"coefficients": [c] * 700, "x": 3.0}) for c in (2.0, -2.0)]
+
+
+class TestPastDoubleRange:
+    """A term past double range is +-inf of the term's sign, or nan,
+    never an OverflowError."""
+
+    @pytest.mark.parametrize(
+        "spec, c, x, n",
+        [
+            (catalog_lookup("geometric", x=-3.5), lambda k: 1, -3.5, 700),
+            (catalog_lookup("geometric", x=2.0), lambda k: 1, 2.0, 1100),
+            (catalog_lookup("log1p_taylor", x=-3.0),
+             lambda k: Fraction((-1) ** (k + 1), k) if k else 0, -3.0, 700),
+            (catalog_lookup("custom", coefficients=_BIG, x=1e200),
+             lambda k: Fraction(_BIG[k]), 1e200, len(_BIG)),
+            # B_k = 0 for odd k >= 3.
+            (catalog_lookup("bernoulli_power", x=1e7),
+             lambda k: _BERNOULLI[k], 1e7, 61),
+            # 2 * 3**k - 2 * 3**k, whose parts reach opposite infinities.
+            (combine(_OPPOSED, [1.0, 1.0]), lambda k: 0, 3.0, 700),
+        ],
+        ids=["geometric-3.5", "geometric2", "log1p_taylor-3", "custom1e200",
+             "bernoulli_power1e7", "combine-opposed"],
+    )
+    def test_terms_past_double_range(self, spec, c, x, n):
+        wants = [_past_range(c, Fraction(x), k) for k in range(n)]
+        # Every stream reaches past double range within n terms.
+        assert {"nan", math.inf, -math.inf} & set(wants)
+        for k, (t, want) in enumerate(zip(head(spec, n), wants)):
+            if want == "nan":
+                assert math.isnan(t), k
+            elif want == "finite":
+                assert math.isfinite(t), k
+            elif want is not None:
+                assert t == want, k

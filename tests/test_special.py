@@ -155,6 +155,10 @@ class TestGeneratingFunction:
 
     def test_continuity_at_zero(self):
         assert bernoulli_gen_fn(0.0) == 1.0
+        # h(x) = 1 + x/2 + O(x**2) rounds to 1.0 here, though 1/x may not
+        # be finite.
+        for x in (5e-324, 1e-310, -1e-310, 2**-55):
+            assert bernoulli_gen_fn(x) == 1.0
         assert bernoulli_gen_fn(1e-4) == pytest.approx(1.0, abs=1e-3)
 
 

@@ -102,6 +102,16 @@ class TestChiSum:
         with pytest.raises(NumericError, match="overflows"):
             chi_sum(huge, 5)
 
+    def test_weighted_sum_overflow_without_rational_form(self):
+        # Every term is finite, but their weighted sum is not, and alt_log
+        # leaves the combination no rational form to redo it from.
+        both = combine(
+            [catalog_lookup("alt_log"), load_custom({"coefficients": [1e308] * 3})],
+            [1.0, 1.0],
+        )
+        with pytest.raises(NumericError, match="weighted sum overflows at order 5$"):
+            chi_sum(both, 5)
+
     def test_custom_cancelling_sum_is_exact(self):
         # Near the boundary a custom series cancels as the geometric one
         # does; its double sum reads 1.13e9 here.
@@ -720,6 +730,21 @@ class TestSettledSumFastPath:
         assert r.accelerated is accelerated
         assert r.value == self.richardson_or_last(r)
 
+    def test_asymptotic_series_never_settles(self):
+        # The partial sum s_2 = 1.0000005000001666 looks settled, but the
+        # Bernoulli series only tracks its generating function.
+        r = chi_sweep(catalog_lookup("bernoulli_power", x=1e-6), (2,), accelerate=True)
+        assert not r.accelerated
+        assert r.value == r.approximants[-1] == 1.0000005000000833
+
+    def test_extrapolation_past_double_range_is_not_taken(self):
+        # Both approximants are finite, but 200 * S_200 is not.
+        spec = catalog_lookup("geometric", x=91.26)
+        r = chi_sweep(spec, (100, 200), accelerate=True)
+        assert r.approximants == (2.9780851061269715e154, 4.997541475244785e307)
+        assert not r.accelerated
+        assert r.value == r.approximants[-1]
+
     @pytest.mark.parametrize("x", [0.9, -2.0])
     def test_approximants_unchanged(self, x):
         spec = catalog_lookup("geometric", x=x)
@@ -749,6 +774,10 @@ class TestCesaro:
         spec = load_custom({"coefficients": [1e300] * 3, "x": 1e10})
         with pytest.raises(NumericError, match="index 1"):
             cesaro_mean(spec, 2)
+
+    def test_term_past_double_range_names_index(self):
+        with pytest.raises(NumericError, match="index 1024$"):
+            cesaro_mean(catalog_lookup("geometric", x=2.0), 1100)
 
     def test_partial_sum_past_double_range(self):
         # s_1 = 2e308 is inf, and the mean was inf.
@@ -874,7 +903,8 @@ class TestEulerTransform:
             euler_transform(coefficient_series([1.5e308] * 3), 2)
 
     def test_stream_errors_pass_through(self):
-        with pytest.raises(OverflowError):
+        # 2**1024 is past double range: the stream yields inf there.
+        with pytest.raises(NumericError, match="index 1024$"):
             euler_transform(catalog_lookup("geometric", x=2.0), 1100)
         with pytest.raises(DomainError):
             euler_transform(catalog_lookup("bernoulli_power", x=0.5), 61)
@@ -923,6 +953,12 @@ class TestAbel:
             abel_estimate(spec, (0.9,))
         assert len(pulled) == 2
 
+    def test_radius_too_close_to_one(self):
+        # Grandi's terms times r**k stay above the tail threshold for more
+        # than 10**6 terms at this radius.
+        with pytest.raises(AbelRadiusError, match="did not reach its tail threshold"):
+            abel_estimate(catalog_lookup("grandi"), (0.99999999,))
+
     def test_geometric_minus2_not_abel_summable(self):
         with pytest.raises(AbelRadiusError):
             abel_estimate(catalog_lookup("geometric", x=-2.0), (0.9,))
@@ -939,3 +975,17 @@ class TestAbel:
             abel_estimate(g, (0.99, 0.9))
         with pytest.raises(DomainError):
             abel_estimate(g, (1.5,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chi_limit(catalog_lookup("grandi"), 0),
+        lambda: richardson_accelerate(1.0, 0, 2.0, 10),
+        lambda: cesaro_mean(catalog_lookup("grandi"), -1),
+    ],
+    ids=["chi_limit", "richardson", "cesaro"],
+)
+def test_order_out_of_range(call):
+    with pytest.raises(DomainError, match=r"need n1? >= [01], got -?[01]$"):
+        call()
