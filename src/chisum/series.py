@@ -50,9 +50,10 @@ class SeriesSpec:
     limit or antilimit).  second_derivative is f''(x) of the generating
     function, used by the error predictor; it is None where it leaves
     double range.  rational, when present, holds parts (x, c, bound)
-    with a_k = sum c(k) * x**k, c(k) rational, and bound(m) a float at
-    least sup_{k>=m} |c(k)|, so that the terms past m can be bounded
-    without reading them.
+    with a_k = sum c(k) * x**k, c(k) a rational given as a pair of ints
+    (numerator, denominator > 0), not necessarily in lowest terms, and
+    bound(m) a float at least sup_{k>=m} |c(k)|, so that the terms past
+    m can be bounded without reading them.
     """
 
     name: str
@@ -61,7 +62,10 @@ class SeriesSpec:
     second_derivative: Optional[float] = None
     x: Optional[float] = None
     rational: Optional[
-        tuple[tuple[float, Callable[[int], Fraction], Callable[[int], float]], ...]
+        tuple[
+            tuple[float, Callable[[int], tuple[int, int]], Callable[[int], float]],
+            ...,
+        ]
     ] = field(default=None, repr=False)
     asymptotic_only: bool = False
 
@@ -93,7 +97,7 @@ def _geometric(x: float) -> SeriesSpec:
             _unless_overflow(lambda: 2.0 / (1.0 - x) ** 3) if x != 1.0 else None
         ),
         x=x,
-        rational=((x, lambda k: 1, lambda m: 1.0),),
+        rational=((x, lambda k: (1, 1), lambda m: 1.0),),
     )
 
 
@@ -137,7 +141,7 @@ def _log1p_taylor(x: float) -> SeriesSpec:
         x=x,
         # |c(k)| = 1/k <= 1.
         rational=(
-            (x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, lambda m: 1.0),
+            (x, lambda k: (1 if k & 1 else -1, k) if k else (0, 1), lambda m: 1.0),
         ),
     )
 
@@ -176,7 +180,9 @@ def _custom(
             (
                 (
                     xv,
-                    lambda k: Fraction(coeffs[k]) if k < len(coeffs) else 0,
+                    lambda k: (
+                        coeffs[k].as_integer_ratio() if k < len(coeffs) else (0, 1)
+                    ),
                     lambda m: max(map(abs, coeffs[m:]), default=0.0),
                 ),
             )
@@ -303,10 +309,22 @@ def _product_up(a: float, b: float) -> float:
     return math.nextafter(a * b, math.inf) if a and b else 0.0
 
 
+def _rounded_sum(values: Sequence[float]) -> float:
+    """The exact sum of finite doubles, rounded once; +-inf past double
+    range."""
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
     """Termwise linear combination of series: its stream zips the inputs'
-    streams; term k is the fsum of the weighted terms k, or their plain
-    sum, +-inf or nan, where fsum overflows or meets opposite infinities.
+    streams; term k is the fsum of the weighted terms k.  Where fsum
+    overflows on finite weighted terms it is their exact sum, rounded
+    once (+-inf past double range); where a weighted term is not finite
+    it is their plain sum, +-inf or nan.
 
     The exact value is the same combination when every input carries
     one, and so is the rational form (the inputs' parts scaled by finite
@@ -326,7 +344,12 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
             try:
                 t = math.fsum(map(mul, coeffs, ts))
             except (OverflowError, ValueError):  # past range, or inf - inf
-                t = sum(map(mul, coeffs, ts))
+                weighted = tuple(map(mul, coeffs, ts))
+                t = (
+                    _rounded_sum(weighted)
+                    if all(map(math.isfinite, weighted))
+                    else sum(weighted)
+                )
             yield t
 
     exact = None
@@ -338,7 +361,10 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
         rational = tuple(
             (
                 x,
-                lambda k, f=Fraction(c), part=part: f * part(k),
+                # c * part(k): numerators and denominators multiplied.
+                lambda k, f=c.as_integer_ratio(), part=part: (
+                    tuple(map(mul, f, part(k)))
+                ),
                 lambda m, a=abs(c), bound=bound: _product_up(a, bound(m)),
             )
             for c, s in pairs

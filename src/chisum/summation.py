@@ -13,12 +13,19 @@ defining forms, chi_sum (the one evaluation path that sweeps and every
 CLI command use) and chi_limit, therefore go through one guarded
 weighted sum.  It estimates the cancellation (sum of absolute weighted
 terms over the result) and, when the series has a rational form, redoes
-the sum exactly in integers: the weights (n)_k / n**k are rational, so
-S_n is a rational number, rounded to double once at the end.  The integers
-come from a balanced product tree (binary splitting): each product joins
-two halves of about equal size, where CPython's Karatsuba multiplication
-is fast, so the cost grows far more slowly than the n**2 of adding one
-term at a time to a growing integer.
+the sum in integers, correctly rounded: the weights (n)_k / n**k are
+rational, so S_n is a rational number, and the redo returns it rounded
+to double.  The redo runs in fixed point first (_fixed_sum): each weight
+follows from the one before in integers of about P bits, P some 64 bits
+more than the largest weight needs, with a proven bound on the floors'
+error, and the result stands when both ends of that bound round to the
+same double (Ziv's strategy).  When they do not after two doublings of
+P, as for a sum that is exactly zero or exactly halfway between two
+doubles, or when the product tree is the cheaper kernel (x large, or n
+small), the sum is redone exactly from a balanced product tree (binary
+splitting, _exact_sum): each product joins two halves of about equal
+size, where CPython's Karatsuba multiplication is fast.  Both give the
+same double, and the tests hold them equal.
 
 Past the end of the weight row every weight is below sys.float_info.min,
 so the terms there enter the guard only as a bound on what they could
@@ -72,6 +79,19 @@ INCONCLUSIVE = "inconclusive"
 # roughly half its digits and is redone exactly.
 _COND_LIMIT = 1e8
 
+# Bits a growing weight of the fixed-point kernel may gain past its
+# working precision before it is cut back.
+_RENORM = 32
+
+# The fixed-point kernel works on P-bit integers for n terms; the product
+# tree's integers gain the bits of x's numerator and denominator and of n
+# per term, s in all.  Past P = n * s / _TREE_RATIO the product tree is
+# the cheaper kernel.  Geometric at n = 2000 (2 CPUs, Python 3.11):
+# x = -3.59 gives P / (n s) = 0.008 and the fixed point is 4x faster,
+# x = -3.5 gives 0.05 and both take the same time, x = 1e5 gives 0.5 and
+# the product tree is 10x faster.
+_TREE_RATIO = 8
+
 
 @dataclass(frozen=True)
 class ChiResult:
@@ -93,8 +113,8 @@ def _split(c, n: int, p: int, step: int, a: int, b: int):
     sum_{a<=k<b} c(k) * prod_{a<=j<k} (n-j)*p / step equals T / (B*Q).
     """
     if b - a == 1:
-        ck = c(a)
-        return (n - a) * p, step, ck.denominator, ck.numerator * step
+        num, den = c(a)
+        return (n - a) * p, step, den, num * step
     m = (a + b) // 2
     P1, Q1, B1, T1 = _split(c, n, p, step, a, m)
     P2, Q2, B2, T2 = _split(c, n, p, step, m, b)
@@ -121,6 +141,141 @@ def _exact_sum(spec: SeriesSpec, n: int) -> float:
         return num / den
     except OverflowError:
         raise NumericError(f"weighted sum overflows at order {n}") from None
+
+
+def _fixed_bits(spec: SeriesSpec, n: int) -> int:
+    """Starting precision P of _fixed_sum, in closed form.
+
+    The kernel keeps about P bits below the largest weighted term, and
+    its error bound grows like n**2 units of the last of them.  Taking
+    the sum to be of the order of the largest coefficient bound B, P is
+    64 + 2 log2(n) guard bits over log2(W) + max(0, -log2(B)), with W the
+    largest weight (n)_k |x|**k / n**k of any part.  W sits at the
+    integer orders around k* = n (1 - 1/|x|), where the ratio of
+    consecutive weights, |x| (n - k) / n, falls through 1; for |x| <= 1
+    the weights only fall, and W = 1.  Only the cost depends on P, never
+    the result.
+    """
+    log_w, b = 0.0, 0.0
+    for x, _, bound in spec.rational:
+        b = max(b, bound(0))
+        r = abs(x)
+        if r > 1.0:
+            k = min(n, int(n * (1.0 - 1.0 / r)))
+            for j in (k, min(n, k + 1)):
+                log_w = max(
+                    log_w,
+                    math.lgamma(n + 1) - math.lgamma(n - j + 1) + j * math.log(r / n),
+                )
+    small = max(0.0, -math.log2(b)) if b else 0.0
+    return 64 + 2 * n.bit_length() + math.ceil(log_w / math.log(2.0) + small)
+
+
+def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
+    """(A, E, s) for one part (x, c, bound) at precision P = bits: its sum
+    lies within E * 2**(s - P) of A * 2**(s - P).
+
+    With x = p/q (q a power of two), the weight 2**P * (n)_k |x|**k / n**k
+    runs as t_0 = 2**P and t_k = floor(t_{k-1} * r_k), with the ratio
+    r_k = (n-k+1)|p| / (n*q) taken as // n and >> log2 q, and A adds
+    +-floor(t_k * |num| / den) for c(k) = (num, den).  While the weights
+    grow (the first k* ratios are >= 1) a t_k past P + _RENORM bits is
+    cut back to P bits, and the sums with it, s counting the bits cut;
+    from k* on the weights only fall and no cut happens.
+
+    The bound: floors only round down, so every quantity is at most its
+    exact value, and nested floors of nonnegatives are one floor.  Up to
+    k*, each t_j >= 2**(P-1), so every weight is low by a relative
+    rho <= k* * 2**(1-P); past k*, the ratios are <= 1 and each floor adds
+    at most one unit, so weight k is low by rho times itself plus
+    k - k* units.  A term's own floor, and each cut of the sums, adds
+    less than one unit.  So E <= rho * (exact absolute sum) + R, with
+    R = B (n-k*)(n-k*+1)/2 + (n+1) + 2 cuts and B >= |c(k)|; the exact
+    absolute sum is at most the computed one plus E, which gives
+    E <= 2 rho * (computed sum) + 2 R for rho <= 1/2.  Once a t_k is 0,
+    every later one is, and R already covers their terms.  A bound(0)
+    past double range raises OverflowError.
+    """
+    p, q = x.as_integer_ratio()
+    shift = q.bit_length() - 1
+    ap = abs(p)
+    odd = 1 if p < 0 else 0  # the sign of x**k flips with k
+    # k* = the number of ratios (n-j+1)|p| / (n*q) >= 1, j = 1..n.
+    peak = min(n, max(0, n + 1 + (-n * q // ap))) if ap else 0
+    limit = 1 << (bits + _RENORM)
+    t = 1 << bits
+    pos = neg = cut = cuts = 0
+    for k in range(n + 1):
+        num, den = c(k)
+        if num:
+            u = t if num == 1 or num == -1 else t * abs(num)
+            if den != 1:
+                u //= den
+            if (num < 0) ^ (k & odd):
+                neg += u
+            else:
+                pos += u
+        t = t * ((n - k) * ap) // n >> shift
+        if t >= limit:
+            d = t.bit_length() - bits
+            t >>= d
+            pos >>= d
+            neg >>= d
+            cut += d
+            cuts += 1
+        elif not t:
+            break
+    tail = n - peak
+    rest = math.ceil(bound(0)) * tail * (tail + 1) // 2 + n + 1 + 2 * cuts
+    err = (peak * (pos + neg) >> (bits - 2)) + 1 + 2 * rest
+    return pos - neg, err, cut
+
+
+def _to_double(num: int, exp: int) -> float:
+    """num * 2**exp correctly rounded, or +-inf past double range."""
+    try:
+        return num / (1 << -exp) if exp < 0 else float(num << exp)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _fixed_sum(spec: SeriesSpec, n: int) -> float:
+    """S_n from the series' rational form in fixed point, correctly
+    rounded: the double _exact_sum returns, in a fraction of its time
+    where the working precision is small next to the product tree's
+    integers; elsewhere (_TREE_RATIO: x large, or n small) it calls
+    _exact_sum at once.
+
+    Each part's sum lies within a proven bound of a scaled integer
+    (_fixed_part); the parts are put on the finest of their scales, so
+    the exact S_n lies in [(A - E) * 2**e, (A + E) * 2**e].  Rounding is
+    monotone and int / int rounds correctly, so when both ends round to
+    the same double, S_n rounds to it too (Ziv's strategy).  The
+    precision starts at _fixed_bits and doubles at most twice; a sum
+    still unsettled, such as an exact midpoint or a zero sum, which
+    never settle, goes to _exact_sum.  Both ends past double range raise
+    NumericError, as _exact_sum does.
+    """
+    bits = _fixed_bits(spec, n)
+    step = n.bit_length() + max(
+        sum(i.bit_length() for i in x.as_integer_ratio()) for x, _, _ in spec.rational
+    )
+    if _TREE_RATIO * bits > n * step:
+        return _exact_sum(spec, n)
+    for p in (bits, 2 * bits, 4 * bits):
+        try:
+            parts = [_fixed_part(x, c, bound, n, p) for x, c, bound in spec.rational]
+        except OverflowError:  # a coefficient bound past double range
+            break
+        low = min(s for _, _, s in parts)
+        total = sum(a << (s - low) for a, _, s in parts)
+        err = sum(e << (s - low) for _, e, s in parts)
+        lo = _to_double(total - err, low - p)
+        if lo and lo == _to_double(total + err, low - p):
+            if math.isinf(lo):
+                raise NumericError(f"weighted sum overflows at order {n}")
+            return lo
+    return _exact_sum(spec, n)
 
 
 def _first_nonfinite(spec: SeriesSpec, n: int) -> Optional[int]:
@@ -204,7 +359,7 @@ def _guarded_sum(
     abs_sum = sum(map(abs, terms)) + past_row
     if not math.isfinite(abs_sum):
         if spec.rational is not None:
-            return _exact_sum(spec, n)
+            return _fixed_sum(spec, n)
         k = _first_nonfinite(spec, n)
         if k is not None:
             raise NumericError(f"non-finite weighted term at index {k}")
@@ -216,7 +371,7 @@ def _guarded_sum(
         abs_sum > _COND_LIMIT * abs(total)
         or past_row > sys.float_info.epsilon * abs(total)
     ):
-        return _exact_sum(spec, n)
+        return _fixed_sum(spec, n)
     return total / norm
 
 
@@ -445,17 +600,37 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
         raise NumericError(f"Euler mean overflows at order {n}") from None
 
 
+def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:
+    """A bound on sum_{j>k} |a_j| r**j from spec's rational form: each
+    part (x, c, bound) adds bound(k+1) * z**(k+1) / (1 - z), z = |x| r,
+    and is inf when z >= 1; a part with bound(k+1) = 0 adds nothing."""
+    total = 0.0
+    for x, _, bound in spec.rational:
+        b = bound(k + 1)
+        if b:
+            z = abs(x) * r
+            if z >= 1.0:
+                return math.inf
+            total += b * z ** (k + 1) / (1.0 - z)
+    return total
+
+
 def abel_estimate(
     spec: SeriesSpec, radii: Sequence[float], extrapolate: bool = False
 ) -> float:
     """Abel-style evaluation: A(r) = sum a_k r^k at each radius, by
-    truncation once the terms fall below the machine tail.
+    truncation once the rest falls below 1e-16 of the running sum.
 
+    For a series with a rational form the rest is bounded in closed form
+    (_abel_tail) and must fall below the threshold, so a run of zero
+    coefficients does not end the sum; for any other series two
+    consecutive terms below the threshold end it.
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
     AbelRadiusError when a term or the running sum of the inner series
-    is not finite, or when it does not reach its tail threshold within
-    10^6 terms or before its stream ends.
+    is not finite, when it does not reach its tail threshold within
+    10^6 terms or before its stream ends, or when the extrapolation
+    leaves double range.
     """
     rs = tuple(float(r) for r in radii)
     if not rs or any(not (0.0 < r < 1.0) for r in rs):
@@ -487,12 +662,18 @@ def abel_estimate(
             comp = (s - acc) - y
             acc = s
             rk *= r
-            if abs(t) <= 1e-16 * abs(acc):
-                below += 1
+            small = 1e-16 * abs(acc)
+            if abs(t) > small:
+                below = 0
+                continue
+            below += 1
+            if spec.rational is None:
                 if below >= 2:
                     break
-            else:
-                below = 0
+            # The closed-form rest costs a call per part, so it is checked
+            # on the first small term of a run and every 64th after it.
+            elif below % 64 == 1 and _abel_tail(spec, r, k) <= small:
+                break
         else:
             raise AbelRadiusError(
                 f"inner series did not reach its tail threshold at radius {r}"
@@ -503,4 +684,9 @@ def abel_estimate(
         return values[-1]
     t1, t2 = 1.0 - rs[-2], 1.0 - rs[-1]
     a1, a2 = values[-2], values[-1]
-    return (a2 * t1 - a1 * t2) / (t1 - t2)
+    value = (a2 * t1 - a1 * t2) / (t1 - t2)
+    if not math.isfinite(value):
+        raise AbelRadiusError(
+            f"extrapolation from radii {rs[-2]} and {rs[-1]} leaves double range"
+        )
+    return value

@@ -295,6 +295,24 @@ class TestCompareCommand:
         )
         assert res["value"] == 1.5518486453371747e94
 
+    def test_abel_reads_past_a_run_of_zero_coefficients(self, tmp_path):
+        # The Abel sum of 1 + 5 r**3 is 6; stopping at the zero coefficients
+        # gave 1.0.
+        p = tmp_path / "z.json"
+        p.write_text(json.dumps({"coefficients": [1, 0, 0, 5]}))
+        res = run_json("compare", "--series", "custom", "--file", str(p),
+                       "--n", "100")["results"]
+        assert res["abel"] == pytest.approx(6.0, abs=1e-3)
+
+    def test_abel_extrapolation_past_double_range_is_an_error(self, tmp_path):
+        # Both radius values are finite; their extrapolation is not.
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"coefficients": [1.7e308] + [0.0098e308] * 10}))
+        res = run_json("compare", "--series", "custom", "--file", str(p),
+                       "--n", "10")["results"]
+        assert "abel" not in res
+        assert "leaves double range" in res["abel_error"]
+
     def test_unknown_method(self):
         code, _ = run_cli(
             "sum", "--series", "grandi", "--n", "10", "--compare", "borel"

@@ -14,6 +14,7 @@ from chisum.series import (
     partial_sums,
 )
 from chisum.special import EULER_GAMMA
+from chisum.summation import euler_transform
 
 
 def head(spec, n):
@@ -193,6 +194,25 @@ class TestCombine:
         a = head(combine(parts, [1.0, 1.0]), 647)
         assert a[645] == 0.0
         assert math.isnan(a[646])
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            # fsum's partials overflow; the exact term is finite.
+            ((1e308, 1e308, -1e308), 1e308),
+            ((1e308, 1e308, -1.5e308), 0.5e308),
+            # The exact term itself is past double range.
+            ((1e308, 1e308, 1e308), math.inf),
+            ((-1e308, -1e308, -1e308), -math.inf),
+        ],
+    )
+    def test_overflowing_fsum_gives_the_exact_term(self, values, want):
+        parts = [load_custom({"coefficients": [v]}) for v in values]
+        c = combine(parts, [1.0] * len(values))
+        assert head(c, 2) == [want, 0.0]
+        if math.isfinite(want):
+            # The Euler mean needs every term finite: (3 a_0 + a_1) / 4.
+            assert euler_transform(c, 1) == float(Fraction(want) * 3 / 4)
 
     def test_part_stream_errors_pass_through(self):
         # Past its table the Bernoulli stream raises DomainError, which is

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from itertools import cycle, islice
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -21,6 +22,8 @@ from chisum.summation import (
     DIVERGING,
     INCONCLUSIVE,
     _exact_sum,
+    _fixed_part,
+    _fixed_sum,
     _tail_bound,
     abel_estimate,
     cesaro_mean,
@@ -452,13 +455,26 @@ def series_by_definition(draw, n):
     )
 
 
+def fixed_point(spec, n):
+    """_fixed_sum with the product tree only as its fallback: at small n
+    or large x it would otherwise go to the tree at once."""
+    with mock.patch("chisum.summation._TREE_RATIO", 0):
+        return _fixed_sum(spec, n)
+
+
+KERNELS = pytest.mark.parametrize(
+    "kernel", [_exact_sum, fixed_point], ids=["product_tree", "fixed_point"]
+)
+
+
 class TestExactKernelOracle:
     # S_n = sum_k a_k * (n)_k / n**k summed term by term in Fractions: an
-    # oracle for every part kind, for the sum over parts, and for the
-    # coefficient denominators that the kernel multiplies together.
+    # oracle for both kernels, for every part kind, for the sum over parts,
+    # and for the coefficient denominators that the kernels multiply by.
+    @KERNELS
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_matches_fraction_sum_of_the_definition(self, data):
+    def test_matches_fraction_sum_of_the_definition(self, kernel, data):
         n = data.draw(st.integers(min_value=1, max_value=64))
         parts = data.draw(st.lists(series_by_definition(n), min_size=1, max_size=3))
         if len(parts) == 1:
@@ -480,7 +496,138 @@ class TestExactKernelOracle:
         for k in range(n + 1):
             direct += w * a(k)
             w *= Fraction(n - k, n)
-        assert _exact_sum(spec, n) == float(direct)
+        assert kernel(spec, n) == float(direct)
+
+    @KERNELS
+    def test_overflow_message(self, kernel):
+        # The exact sum is w_1 * 1e309, which no double can hold.
+        huge = catalog_lookup("custom", coefficients=[0.0, 1e308], x=10.0)
+        with pytest.raises(NumericError, match="^weighted sum overflows at order 5$"):
+            kernel(huge, 5)
+
+
+def boundary_leaf(x_geometric, x_log1p):
+    """geometric and log1p_taylor on the given x, and custom series of up
+    to 40 coefficients on x in [-4, 4]."""
+    custom = st.builds(
+        lambda cs, x: load_custom({"coefficients": cs, "x": x}),
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
+        st.floats(min_value=-4.0, max_value=4.0),
+    )
+    return st.one_of(
+        x_geometric.map(lambda x: catalog_lookup("geometric", x=x)),
+        x_log1p.map(lambda x: catalog_lookup("log1p_taylor", x=x)),
+        custom,
+    )
+
+
+@st.composite
+def boundary_series(draw):
+    """A leaf near or past the boundary, or a combination of two."""
+    leaf = boundary_leaf(
+        st.floats(min_value=-4.0, max_value=-1.5),
+        st.floats(min_value=1.0, max_value=3.6),
+    )
+    if draw(st.booleans()):
+        return draw(leaf)
+    coefs = draw(
+        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=2)
+    )
+    return combine([draw(leaf), draw(leaf)], coefs)
+
+
+class TestFixedKernel:
+    # _fixed_sum against the product tree it falls back to: the same
+    # double, bit for bit, or the same exception.
+    @staticmethod
+    def same(spec, n, kernel=fixed_point):
+        try:
+            want = _exact_sum(spec, n)
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=f"^{exc}$"):
+                kernel(spec, n)
+        else:
+            assert repr(kernel(spec, n)) == repr(want)
+
+    @given(boundary_series(), st.integers(min_value=1, max_value=300))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_product_tree(self, spec, n):
+        self.same(spec, n)
+
+    @given(boundary_series(), st.integers(min_value=1000, max_value=2000))
+    @settings(max_examples=8, deadline=None)
+    def test_equals_the_product_tree_at_large_orders(self, spec, n):
+        self.same(spec, n)
+
+    @given(
+        boundary_leaf(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=0, max_value=40),
+    )
+    # Large coefficients on falling weights: the floors past the largest
+    # weight carry the error.
+    @example(load_custom({"coefficients": [1e3] * 40, "x": 0.9}), 120, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_part_bound_holds_at_low_precision(self, spec, n, extra):
+        # At a few bits the floors move A well away from the exact sum, so
+        # this checks the error bound itself, not only a rounded result.
+        bits = n.bit_length() + 2 + extra
+        ((x, c, bound),) = spec.rational
+        a, e, s = _fixed_part(x, c, bound, n, bits)
+        exact, w = Fraction(0), Fraction(1)
+        for k in range(n + 1):
+            exact += Fraction(*c(k)) * w
+            w *= Fraction(n - k, n) * Fraction(x)
+        assert abs(exact * Fraction(2) ** (bits - s) - a) <= e
+
+    @pytest.mark.parametrize(
+        "name, x, n, want",
+        [
+            ("geometric", -3.3, 2000, 0.23248966294891435),
+            ("geometric", -3.5, 400, 0.22198098326936083),
+            ("log1p_taylor", 3.0, 400, None),  # the product tree's value
+        ],
+    )
+    def test_settles_without_the_product_tree(self, monkeypatch, name, x, n, want):
+        spec = catalog_lookup(name, x=x)
+        want = _exact_sum(spec, n) if want is None else want
+        monkeypatch.setattr("chisum.summation._exact_sum", None)
+        assert fixed_point(spec, n) == want
+
+    @pytest.mark.parametrize(
+        "spec, n, want",
+        [
+            # S_1 = 1 + 2**-53 is a tie between two doubles; it rounds to even.
+            (load_custom({"coefficients": [1.0, 2.0**-53]}), 1, 1.0),
+            # S_1 = 1 - 1 is exactly zero.
+            (load_custom({"coefficients": [1.0, -1.0]}), 1, 0.0),
+            (load_custom({"coefficients": [0.0, 0.0]}), 40, 0.0),
+        ],
+        ids=["midpoint", "zero", "all-zero"],
+    )
+    def test_unsettled_sums_fall_back(self, monkeypatch, spec, n, want):
+        # Three precisions, then the tree.
+        passes, calls = [], []
+        monkeypatch.setattr(
+            "chisum.summation._fixed_part",
+            lambda *a: passes.append(a[-1]) or _fixed_part(*a),
+        )
+        monkeypatch.setattr(
+            "chisum.summation._exact_sum",
+            lambda s, m: calls.append(m) or _exact_sum(s, m),
+        )
+        assert repr(fixed_point(spec, n)) == repr(want)
+        p = passes[0]
+        assert passes == [p, 2 * p, 4 * p]
+        assert calls == [n]
+
+    @pytest.mark.parametrize("x, n", [(1e300, 40), (1e5, 60), (-3.3, 5)])
+    def test_large_x_or_small_n_goes_to_the_tree_at_once(self, monkeypatch, x, n):
+        # Ones at x = 1e300 and n = 2000 took 8.6 s in fixed point, where
+        # the product tree needs 0.2 s (2 CPUs, Python 3.11).
+        spec = catalog_lookup("custom", coefficients=[1.0] * (n + 1), x=x)
+        monkeypatch.setattr("chisum.summation._fixed_part", None)
+        self.same(spec, n, _fixed_sum)
 
 
 class TestDefinitionEquivalence:
@@ -952,6 +1099,20 @@ class TestAbel:
         ):
             abel_estimate(spec, (0.9,))
         assert len(pulled) == 2
+
+    def test_run_of_zero_coefficients_does_not_end_the_sum(self):
+        # Two zero terms in a row used to stop the sum at 1.0.
+        spec = load_custom({"coefficients": [1, 0, 0, 5]})
+        assert abel_estimate(spec, (0.9,)) == pytest.approx(
+            1 + 5 * 0.9**3, abs=1e-15
+        )
+
+    def test_extrapolation_past_double_range(self):
+        spec = load_custom({"coefficients": [1.7e308] + [0.0098e308] * 10})
+        # Each radius value is finite, so only the extrapolation fails.
+        assert math.isfinite(abel_estimate(spec, (0.99, 0.999)))
+        with pytest.raises(AbelRadiusError, match="leaves double range$"):
+            abel_estimate(spec, (0.9, 0.99, 0.999), extrapolate=True)
 
     def test_radius_too_close_to_one(self):
         # Grandi's terms times r**k stay above the tail threshold for more
