@@ -52,8 +52,10 @@ class SeriesSpec:
     double range.  rational, when present, holds parts (x, c, bound)
     with a_k = sum c(k) * x**k, c(k) a rational given as a pair of ints
     (numerator, denominator > 0), not necessarily in lowest terms, and
-    bound(m) a float at least sup_{k>=m} |c(k)|, so that the terms past
-    m can be bounded without reading them.
+    bound(m) a float at least sup_{k>=m} |c(k)|, nonincreasing in m, so
+    that the terms past m can be bounded without reading them.  A
+    constant c is a _Constant, which the summation kernel reads once
+    instead of per term.
     """
 
     name: str
@@ -68,6 +70,16 @@ class SeriesSpec:
         ]
     ] = field(default=None, repr=False)
     asymptotic_only: bool = False
+
+
+class _Constant(tuple):
+    """A constant coefficient (numerator, denominator): the pair itself,
+    and the function k -> pair of a rational part."""
+
+    __slots__ = ()
+
+    def __call__(self, k: int) -> _Constant:
+        return self
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
@@ -97,7 +109,7 @@ def _geometric(x: float) -> SeriesSpec:
             _unless_overflow(lambda: 2.0 / (1.0 - x) ** 3) if x != 1.0 else None
         ),
         x=x,
-        rational=((x, lambda k: (1, 1), lambda m: 1.0),),
+        rational=((x, _Constant((1, 1)), lambda m: 1.0),),
     )
 
 
@@ -169,6 +181,12 @@ def _custom(
 ) -> SeriesSpec:
     coeffs = tuple(float(c) for c in coefficients)
     xv = 1.0 if x is None else float(x)
+    # Every coefficient from `end` on is zero, and the largest |c(k)|
+    # bounds the others: bound(m) is O(1).
+    end = len(coeffs) - next(
+        (i for i, c in enumerate(reversed(coeffs)) if c), len(coeffs)
+    )
+    top = max(map(abs, coeffs), default=0.0)
 
     return SeriesSpec(
         name="custom",
@@ -183,7 +201,7 @@ def _custom(
                     lambda k: (
                         coeffs[k].as_integer_ratio() if k < len(coeffs) else (0, 1)
                     ),
-                    lambda m: max(map(abs, coeffs[m:]), default=0.0),
+                    lambda m: top if m < end else 0.0,
                 ),
             )
             if all(map(math.isfinite, (xv, *coeffs)))
@@ -362,7 +380,9 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
             (
                 x,
                 # c * part(k): numerators and denominators multiplied.
-                lambda k, f=c.as_integer_ratio(), part=part: (
+                _Constant(map(mul, c.as_integer_ratio(), part))
+                if isinstance(part, _Constant)
+                else lambda k, f=c.as_integer_ratio(), part=part: (
                     tuple(map(mul, f, part(k)))
                 ),
                 lambda m, a=abs(c), bound=bound: _product_up(a, bound(m)),

@@ -2,39 +2,38 @@
 convergence classification, Richardson acceleration, and the classical
 comparison methods (Cesaro, Euler transform, Abel).
 
-Every method reads the series in order from one term stream
-(SeriesSpec.terms), pulling exactly the terms it uses, so an order-n
-approximant costs O(n) term work; Abel takes a fresh stream per radius.
+Both defining forms, chi_sum (the one evaluation path that sweeps and
+every CLI command use) and chi_limit, split on the series.  A series with
+a rational form (geometric, grandi, log1p_taylor, custom, and combine of
+these) goes straight to a fixed-point kernel that returns S_n correctly
+rounded; any other series takes a guarded double sum under the weight
+row.
 
-The weighted sums are badly conditioned near the summability boundary:
-the terms grow like exp(c*n) before cancelling down to order one, which
-destroys double precision long before the method itself fails.  Both
-defining forms, chi_sum (the one evaluation path that sweeps and every
-CLI command use) and chi_limit, therefore go through one guarded
-weighted sum.  It estimates the cancellation (sum of absolute weighted
-terms over the result) and, when the series has a rational form, redoes
-the sum in integers, correctly rounded: the weights (n)_k / n**k are
-rational, so S_n is a rational number, and the redo returns it rounded
-to double.  The redo runs in fixed point first (_fixed_sum): each weight
-follows from the one before in integers of about P bits, P some 64 bits
-more than the largest weight needs, with a proven bound on the floors'
-error, and the result stands when both ends of that bound round to the
-same double (Ziv's strategy).  When they do not after two doublings of
-P, as for a sum that is exactly zero or exactly halfway between two
-doubles, or when the product tree is the cheaper kernel (x large, or n
-small), the sum is redone exactly from a balanced product tree (binary
-splitting, _exact_sum): each product joins two halves of about equal
-size, where CPython's Karatsuba multiplication is fast.  Both give the
-same double, and the tests hold them equal.
+The fixed-point kernel (_fixed_sum) reads no term and builds no row.  The
+weights (n)_k / n**k are rational, so S_n is a rational number.  Each
+weight follows from the one before in integers of about P bits, P some
+64 bits more than the largest weight needs, with a proven bound on the
+floors' error, and the result stands when both ends of that bound round
+to the same double (Ziv's strategy).  Near the summability boundary the
+weighted terms grow like exp(c*n) before cancelling down to order one,
+which the P bits absorb; for |x| <= 1 the integer weights reach 0 after
+about sqrt(2 n P ln 2) orders, far fewer than n.  When the ends do not
+agree after two doublings of P, as for a sum that is exactly zero or
+exactly halfway between two doubles, or when the product tree is the
+cheaper kernel (x large, or n small), the sum is done exactly from a
+balanced product tree (binary splitting, _exact_sum): each product joins
+two halves of about equal size, where CPython's Karatsuba multiplication
+is fast.  Both give the same double, and the tests hold them equal.
 
-Past the end of the weight row every weight is below sys.float_info.min,
-so the terms there enter the guard only as a bound on what they could
-add.  For a series with a rational form, chi_sum takes that bound in
-closed form, a geometric sum in |x| times each part's coefficient bound,
-and reads only the terms under the row: 8,982 of the 60,001 at
-n = 60,000.  A sum that the bound could move is redone exactly.  chi_limit,
-and chi_sum on a series without a rational form, read the values past
-the row instead.
+A series without a rational form (alt_log, alt_harmonic_numbers,
+bernoulli_power, and any combine that includes one of them) is read in
+order from its term stream (SeriesSpec.terms), up to a_n, and summed in
+double precision under the weight row (_guarded_sum).  Past the end of
+the row every weight is below sys.float_info.min, so the terms there are
+only checked to be finite; a term that is not finite raises
+NumericError.  Every other method reads the stream too, pulling exactly
+the terms it uses, so an order-n result costs O(n) term work; Abel takes
+a fresh stream per radius.
 
 The Euler transform is always summed exactly: the (E,1) mean is a
 weighted sum of a_0..a_n whose weights are binomial tails over
@@ -45,7 +44,7 @@ in O(n) big-integer steps instead of a difference table.
 from __future__ import annotations
 
 import math
-import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, pairwise
 from operator import mul
@@ -74,10 +73,6 @@ __all__ = [
 CONVERGED = "converged"
 DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
-
-# Cancellation ratio above which a double-precision weighted sum has lost
-# roughly half its digits and is redone exactly.
-_COND_LIMIT = 1e8
 
 # Bits a growing weight of the fixed-point kernel may gain past its
 # working precision before it is cut back.
@@ -143,32 +138,57 @@ def _exact_sum(spec: SeriesSpec, n: int) -> float:
         raise NumericError(f"weighted sum overflows at order {n}") from None
 
 
+def _support(bound, n: int) -> int:
+    """The order m <= n + 1 from which a part's coefficients, by its
+    bound, are all zero: bound(m) == 0, with bound nonincreasing."""
+    if bound(n):
+        return n + 1
+    return bisect_left(range(n), 0.0, key=lambda m: -bound(m))
+
+
 def _fixed_bits(spec: SeriesSpec, n: int) -> int:
-    """Starting precision P of _fixed_sum, in closed form.
+    """Starting precision P of _fixed_sum, in closed form; only the cost
+    depends on P, never the result.
 
     The kernel keeps about P bits below the largest weighted term, and
-    its error bound grows like n**2 units of the last of them.  Taking
-    the sum to be of the order of the largest coefficient bound B, P is
-    64 + 2 log2(n) guard bits over log2(W) + max(0, -log2(B)), with W the
-    largest weight (n)_k |x|**k / n**k of any part.  W sits at the
-    integer orders around k* = n (1 - 1/|x|), where the ratio of
-    consecutive weights, |x| (n - k) / n, falls through 1; for |x| <= 1
-    the weights only fall, and W = 1.  Only the cost depends on P, never
-    the result.
+    its error bound grows like n**2 units of the last of them times the
+    largest coefficient bound B.  So P is 64 + 2 log2(n) guard bits over
+    log2(W) + log2(B / S) + max(0, -log2(B)), with W the largest weight
+    (n)_k |x|**k / n**k that meets a coefficient and S the sum's guessed
+    scale.  W sits at the orders around k* = n (1 - 1/|x|), where the
+    ratio |x| (n - k) / n of consecutive weights falls through 1, or at
+    the last order before a part's coefficients end (_support); for
+    |x| <= 1 it is 1.  S is taken from where the large coefficients sit:
+    each part's bound(0) times the weight, if below 1, at the first order
+    whose coefficient is within a factor 4 of bound(0).
     """
-    log_w, b = 0.0, 0.0
-    for x, _, bound in spec.rational:
-        b = max(b, bound(0))
-        r = abs(x)
+    ln2 = math.log(2.0)
+    log_w, big, scale = 0.0, -math.inf, -math.inf  # log2 of W, B and S
+    for x, c, bound in spec.rational:
+        end, b, r = _support(bound, n), bound(0), abs(x)
+        if not end or b == math.inf:  # a zero part, or one for the tree
+            continue
+
+        def weight(k: int) -> float:  # log2 of (n)_k r**k / n**k
+            lg = math.lgamma(n + 1) - math.lgamma(n - k + 1)
+            return lg / ln2 + k * (math.log2(r) - math.log2(n))
+
         if r > 1.0:
-            k = min(n, int(n * (1.0 - 1.0 / r)))
-            for j in (k, min(n, k + 1)):
-                log_w = max(
-                    log_w,
-                    math.lgamma(n + 1) - math.lgamma(n - j + 1) + j * math.log(r / n),
-                )
-    small = max(0.0, -math.log2(b)) if b else 0.0
-    return 64 + 2 * n.bit_length() + math.ceil(log_w / math.log(2.0) + small)
+            k = min(end - 1, int(n * (1.0 - 1.0 / r)))
+            log_w = max(log_w, weight(k), weight(min(end - 1, k + 1)))
+        lb = math.log2(b)
+        big = max(big, lb)
+        at = 0
+        if r:
+            for at in range(end):
+                num, den = c(at)
+                if num and abs(num).bit_length() - den.bit_length() >= lb - 1:
+                    break
+            else:
+                at = 0  # no coefficient up to n comes near b
+        scale = max(scale, lb + min(0.0, weight(at)) if at else lb)
+    extra = big - scale + max(0.0, -big) if scale > -math.inf else 0.0
+    return 64 + 2 * n.bit_length() + math.ceil(log_w + extra)
 
 
 def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
@@ -178,55 +198,72 @@ def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
     With x = p/q (q a power of two), the weight 2**P * (n)_k |x|**k / n**k
     runs as t_0 = 2**P and t_k = floor(t_{k-1} * r_k), with the ratio
     r_k = (n-k+1)|p| / (n*q) taken as // n and >> log2 q, and A adds
-    +-floor(t_k * |num| / den) for c(k) = (num, den).  While the weights
-    grow (the first k* ratios are >= 1) a t_k past P + _RENORM bits is
-    cut back to P bits, and the sums with it, s counting the bits cut;
-    from k* on the weights only fall and no cut happens.
+    +-floor(t_k * |num| / den) for c(k) = (num, den).  A constant c (a
+    tuple, as series._Constant is) is read once: the loop adds +-t_k,
+    and each signed sum is multiplied by |num| and floored by den at the
+    end.  While the weights grow (the first k* ratios are >= 1) a t_k
+    past P + _RENORM bits is cut back to P bits, and the sums with it, s
+    counting the bits cut; from k* on the weights only fall and no cut
+    happens.
+
+    The loop stops at the order `end` from which every coefficient is
+    zero (_support), or at the first t_k that is 0, after which every
+    later one is.
 
     The bound: floors only round down, so every quantity is at most its
     exact value, and nested floors of nonnegatives are one floor.  Up to
     k*, each t_j >= 2**(P-1), so every weight is low by a relative
     rho <= k* * 2**(1-P); past k*, the ratios are <= 1 and each floor adds
     at most one unit, so weight k is low by rho times itself plus
-    k - k* units.  A term's own floor, and each cut of the sums, adds
-    less than one unit.  So E <= rho * (exact absolute sum) + R, with
-    R = B (n-k*)(n-k*+1)/2 + (n+1) + 2 cuts and B >= |c(k)|; the exact
-    absolute sum is at most the computed one plus E, which gives
-    E <= 2 rho * (computed sum) + 2 R for rho <= 1/2.  Once a t_k is 0,
-    every later one is, and R already covers their terms.  A bound(0)
-    past double range raises OverflowError.
+    k - k* units.  A term's own floor, or a constant c's two final ones,
+    adds less than one unit each, and each cut of the two sums less than
+    two, times |c| for a constant c.  With B = bound(0) >= |c(k)|, and
+    ceil(B) >= 1 unless every c(k) is 0, E <= rho * (exact absolute sum)
+    + R, where R = ceil(B) (m (m+1)/2 + 2 cuts) + (n+1) and m = end-1-k*
+    counts the orders read past k*; the exact absolute sum is at most
+    the computed one plus E, which gives E <= 2 rho * (computed sum) + 2 R
+    for rho <= 1/2.  A bound(0) past double range raises OverflowError.
     """
     p, q = x.as_integer_ratio()
     shift = q.bit_length() - 1
     ap = abs(p)
     odd = 1 if p < 0 else 0  # the sign of x**k flips with k
+    const = isinstance(c, tuple)
     # k* = the number of ratios (n-j+1)|p| / (n*q) >= 1, j = 1..n.
     peak = min(n, max(0, n + 1 + (-n * q // ap))) if ap else 0
+    end = _support(bound, n)
     limit = 1 << (bits + _RENORM)
     t = 1 << bits
-    pos = neg = cut = cuts = 0
-    for k in range(n + 1):
-        num, den = c(k)
-        if num:
-            u = t if num == 1 or num == -1 else t * abs(num)
-            if den != 1:
-                u //= den
-            if (num < 0) ^ (k & odd):
-                neg += u
-            else:
-                pos += u
+    sums = [0, 0]  # the weighted terms added and subtracted
+    cut = cuts = 0
+    for k in range(end):
+        if const:
+            sums[k & odd] += t
+        else:
+            num, den = c(k)
+            if num:
+                u = t if num == 1 or num == -1 else t * abs(num)
+                if den != 1:
+                    u //= den
+                sums[(num < 0) ^ (k & odd)] += u
         t = t * ((n - k) * ap) // n >> shift
         if t >= limit:
             d = t.bit_length() - bits
             t >>= d
-            pos >>= d
-            neg >>= d
+            sums[0] >>= d
+            sums[1] >>= d
             cut += d
             cuts += 1
         elif not t:
             break
-    tail = n - peak
-    rest = math.ceil(bound(0)) * tail * (tail + 1) // 2 + n + 1 + 2 * cuts
+    pos, neg = sums
+    if const:
+        num, den = c
+        pos, neg = pos * abs(num) // den, neg * abs(num) // den
+        if num < 0:
+            pos, neg = neg, pos
+    m = max(0, end - 1 - peak)
+    rest = math.ceil(bound(0)) * (m * (m + 1) // 2 + 2 * cuts) + n + 1
     err = (peak * (pos + neg) >> (bits - 2)) + 1 + 2 * rest
     return pos - neg, err, cut
 
@@ -285,126 +322,63 @@ def _first_nonfinite(spec: SeriesSpec, n: int) -> Optional[int]:
     return next((k for k, t in terms if not math.isfinite(t)), None)
 
 
-def _tail_bound(spec: SeriesSpec, m: int, n: int) -> float:
-    """An upper bound on sum_{k=m..n} |a_k| from spec's rational form,
-    without reading a term.
-
-    Each part (x, c, bound) adds bound(m) * sum_{k=m..n} |x|**k, whose
-    closed form, with r = |x| and count = n - m + 1, is at most
-    min(count, r**m / (1 - r)) for r < 1, count at r = 1, and
-    min(count * r**n, r**(n+1) / (r - 1)) for r > 1.  A part with
-    bound(m) = 0 adds nothing, before any power is taken.  The sum is
-    rounded up by a relative 1e-9 for the rounding of the terms and of
-    these formulas, and each part adds a few subnormal spacings per term
-    for the terms that round below sys.float_info.min.  A power past
-    double range makes the bound inf.
-    """
-    count = n - m + 1
-    if count <= 0:
-        return 0.0
-    total = 0.0
-    for x, _, bound in spec.rational:
-        b = bound(m)
-        if b == 0.0:
-            continue
-        r = abs(x)
-        try:
-            if r < 1.0:
-                s = min(count, r**m / (1.0 - r))
-            elif r == 1.0:
-                s = count
-            else:
-                rn = r**n
-                s = min(count * rn, rn * r / (r - 1.0))
-        except OverflowError:
-            return math.inf
-        total += b * s + 4.0 * (b + 1.0) * count * math.ulp(0.0)
-    return total * (1.0 + 1e-9)
-
-
 def _guarded_sum(
-    spec: SeriesSpec,
-    n: int,
-    row: Sequence[float],
-    stream: Iterator[float],
-    norm: float,
-    tail: Optional[float] = None,
+    spec: SeriesSpec, n: int, row: Sequence[float], stream: Iterator[float], norm: float
 ) -> float:
-    """S_n as sum_k row[k] * x_k / norm over the first n + 1 values x_k of
-    stream, a sequence built from spec's terms, with every weight past
-    the row below sys.float_info.min.
+    """S_n of spec, a series without a rational form, as
+    sum_k row[k] * x_k / norm over the first n + 1 values x_k of stream,
+    a sequence built from its terms, in double precision.
 
-    Sums the first len(row) values, weighted by the row, in double
-    precision.  The values from there to x_n only count through tail, a
-    bound on their absolute sum, since tail * sys.float_info.min bounds
-    what they could add: when tail is given, no value past the row is
-    read; otherwise they are read and summed in absolute value.  When a
-    value is not finite, or the cancellation ratio (absolute-term sum,
-    with that bound, over the sum) exceeds _COND_LIMIT, or the bound
-    exceeds an epsilon of the sum, S_n is redone exactly from the series'
-    rational form.  A series without one keeps its double result, so
-    terms past the row large enough to move it are missed; for it a
-    non-finite term raises NumericError naming its index.  A sum that
-    leaves double range raises NumericError.
+    The values past the row, where every weight is below
+    sys.float_info.min, are read only to check that they are finite, so
+    terms there large enough to move the sum are missed.  A term that is
+    not finite raises NumericError naming its index, and so does a sum
+    that leaves double range.
     """
     # The row comes first, so map stops after len(row) values and never
-    # pulls the value past them; islice then stops at x_n.
+    # pulls the value past them; islice then stops at x_n.  The absolute
+    # sum is not finite when a term is not or a sum leaves double range.
     terms = list(map(mul, row, stream))
-    if tail is None:
-        tail = sum(map(abs, islice(stream, n + 1 - len(row))))
-    # Sums of nonnegative terms, within n*eps of exact: good enough to
-    # compare with _COND_LIMIT.  abs_sum is not finite when a term is not
-    # (0 * inf is nan) or a sum leaves double range.
-    past_row = sys.float_info.min * tail
-    abs_sum = sum(map(abs, terms)) + past_row
-    if not math.isfinite(abs_sum):
-        if spec.rational is not None:
-            return _fixed_sum(spec, n)
+    past_row = sum(map(abs, islice(stream, n + 1 - len(row))))
+    if not math.isfinite(sum(map(abs, terms)) + past_row):
         k = _first_nonfinite(spec, n)
         if k is not None:
             raise NumericError(f"non-finite weighted term at index {k}")
         if not math.isfinite(sum(map(abs, terms))):
             raise NumericError(f"weighted sum overflows at order {n}")
-        # Only the bound on the values past the row overflowed.
-    total = math.fsum(terms)
-    if spec.rational is not None and (
-        abs_sum > _COND_LIMIT * abs(total)
-        or past_row > sys.float_info.epsilon * abs(total)
-    ):
-        return _fixed_sum(spec, n)
-    return total / norm
+        # Only the sum of the values past the row overflowed.
+    return math.fsum(terms) / norm
 
 
 def chi_sum(spec: SeriesSpec, n: int) -> float:
     """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
-    The guarded weighted sum of the terms a_0..a_n under chi_row(n):
-    compensated double precision, with a bound on the terms past the
-    row and an exact redo from the series' rational form when a term is
-    not finite, the sum cancels, or the bound could move it.  A series
-    with a rational form gets that bound in closed form (_tail_bound),
-    so only the len(row) terms under the row are read; any other series
-    reads its terms up to a_n.
+    A series with a rational form gets S_n correctly rounded from the
+    fixed-point kernel (_fixed_sum), which reads no term and builds no
+    weight row.  Any other series takes the guarded double sum of the
+    terms a_0..a_n under chi_row(n) (_guarded_sum).
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    row = chi_row(n)
-    tail = None if spec.rational is None else _tail_bound(spec, len(row), n)
-    return _guarded_sum(spec, n, row, spec.terms(), 1.0, tail)
+    if spec.rational is not None:
+        return _fixed_sum(spec, n)
+    return _guarded_sum(spec, n, chi_row(n), spec.terms(), 1.0)
 
 
 def chi_limit(spec: SeriesSpec, n: int) -> float:
     """Weighted average of the partial sums s_0..s_n under the averaging
     row (second defining form); algebraically equal to chi_sum.
 
-    The same guarded weighted sum as chi_sum, over the partial sums and
-    normalised by the row's sum.  Each averaging weight past the row is
-    k*w(k)/n <= w(k) < sys.float_info.min, so the partial sums there are
-    read and bounded, not dropped; one that overflows sends a series with
-    a rational form to the exact sum, which is the same S_n as chi_sum's.
+    A series with a rational form gets the same correctly rounded S_n as
+    from chi_sum.  Any other series takes the guarded double sum over
+    the partial sums, normalised by the row's sum.  Each averaging
+    weight past the row is k*w(k)/n <= w(k) < sys.float_info.min, so the
+    partial sums there are read and checked, not summed.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    if spec.rational is not None:
+        return _fixed_sum(spec, n)
     a = averaging_row(n)
     return _guarded_sum(spec, n, a, _running_sums(spec), math.fsum(a))
 

@@ -16,9 +16,9 @@ further.  A subnormal product keeps fewer bits at each step and then
 sticks at the smallest subnormal, 5e-324, while the factor exceeds 1/2:
 at n = 20000 it stores 5e-324 for k = 5202..10000, where the true weight
 falls to about 1e-1332.  So a row stores no subnormal weight, and a
-cached row at n = 10**6 holds 37,404 entries instead of n + 1;
-summation.chi_sum bounds what the terms past the row could add, in closed
-form for a series with a rational form and by reading them otherwise.
+cached row at n = 10**6 holds 37,404 entries instead of n + 1.  Only a
+series without a rational form is summed under a row; summation reads
+its terms past the row only to check that they are finite.
 """
 
 from __future__ import annotations

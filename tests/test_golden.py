@@ -25,12 +25,62 @@ both errors.  They were re-pinned by running this script:
 
 Every other pin, the n = 1 and 2 and every grandi Euler pin among them,
 is unchanged.
+
+Moved on purpose: 32 pins, 31 chi_sum ones and chi_limit grandi n=100,
+when chi_sum and chi_limit began to take every series with a rational
+form straight to the fixed-point kernel instead of a double sum under
+the weight row.  Each new value is S_n correctly rounded, the double the
+product tree (_exact_sum) returns, as tests/test_summation.py holds; the
+old ones carried the rounding of the double weights and terms, largest
+where the weighted terms cancel (x = -2 at n = 50).  Distances are in
+ulp of the signed value.  They were re-pinned by running this script:
+
+    chi_limit grandi n=100                              0x1.feb780bf0c40dp-2 -> 0x1.feb780bf0c40ep-2 (+1 ulp)
+    chi_sum geometric(-0.7) n=1100                      0x1.2d2149f95aef3p-1 -> 0x1.2d2149f95aef2p-1 (-1 ulp)
+    chi_sum geometric(-0.7) n=400                       0x1.2d0c782d24759p-1 -> 0x1.2d0c782d24758p-1 (-1 ulp)
+    chi_sum geometric(-1.0) n=2000                      0x1.ffef9d2bf99fcp-2 -> 0x1.ffef9d2bf99eap-2 (-18 ulp)
+    chi_sum geometric(-1.0) n=400                       0x1.ffae07618d108p-2 -> 0x1.ffae07618d105p-2 (-3 ulp)
+    chi_sum geometric(-1.0) n=5                         0x1.e4f765fd8adadp-2 -> 0x1.e4f765fd8adacp-2 (-1 ulp)
+    chi_sum geometric(-1.0) n=50                        0x1.fd6d617375dc4p-2 -> 0x1.fd6d617375dc5p-2 (+1 ulp)
+    chi_sum geometric(-1.5) n=5                         0x1.710cb295e9e1fp-2 -> 0x1.710cb295e9e1bp-2 (-4 ulp)
+    chi_sum geometric(-1.5) n=50                        0x1.96a4e145ac71dp-2 -> 0x1.96a4e145ac718p-2 (-5 ulp)
+    chi_sum geometric(-2.0) n=5                         0x1.a027525460ac0p-3 -> 0x1.a027525460aa6p-3 (-26 ulp)
+    chi_sum geometric(-2.0) n=50                        0x1.524cb404f4fb7p-2 -> 0x1.524cb404e43ebp-2 (-68,556 ulp)
+    chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=5   -0x1.190c0ad03d98cp-2 -> -0x1.190c0ad03d9a9p-2 (-29 ulp)
+    chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=50  -0x1.0963560f35533p-3 -> -0x1.0963560f77e45p-3 (-272,658 ulp)
+    chi_sum geometric(-3.123457) n=5                    -0x1.0b1ec7591def0p+1 -> -0x1.0b1ec7591def7p+1 (-7 ulp)
+    chi_sum geometric(-3.5) n=5                         -0x1.28bac710cb28cp+2 -> -0x1.28bac710cb296p+2 (-10 ulp)
+    chi_sum geometric(-3.59) n=5                        -0x1.5faae8e5a5982p+2 -> -0x1.5faae8e5a598cp+2 (-10 ulp)
+    chi_sum geometric(0.5) n=2000                       0x1.ffbea08e594a0p+0 -> 0x1.ffbea08e5949fp+0 (-1 ulp)
+    chi_sum geometric(2.0) n=400                        0x1.1415c0a2ddc97p+117 -> 0x1.1415c0a2ddc9ap+117 (+3 ulp)
+    chi_sum geometric(2.0) n=50                         0x1.0f1a7cee05fc4p+18 -> 0x1.0f1a7cee05fc3p+18 (-1 ulp)
+    chi_sum grandi n=100                                0x1.feb780bf0c40dp-2 -> 0x1.feb780bf0c40ep-2 (+1 ulp)
+    chi_sum grandi n=2000                               0x1.ffef9d2bf99fcp-2 -> 0x1.ffef9d2bf99eap-2 (-18 ulp)
+    chi_sum grandi n=400                                0x1.ffae07618d108p-2 -> 0x1.ffae07618d105p-2 (-3 ulp)
+    chi_sum grandi n=5                                  0x1.e4f765fd8adadp-2 -> 0x1.e4f765fd8adacp-2 (-1 ulp)
+    chi_sum grandi n=50                                 0x1.fd6d617375dc4p-2 -> 0x1.fd6d617375dc5p-2 (+1 ulp)
+    chi_sum log1p_taylor(-2.5) n=400                    -0x1.34981e05f8b47p+180 -> -0x1.34981e05f8b4bp+180 (-4 ulp)
+    chi_sum log1p_taylor(-2.5) n=50                     -0x1.11482fdc7d18cp+22 -> -0x1.11482fdc7d18bp+22 (+1 ulp)
+    chi_sum log1p_taylor(-3.0) n=400                    -0x1.d00c9854c04d6p+246 -> -0x1.d00c9854c04ddp+246 (-7 ulp)
+    chi_sum log1p_taylor(-3.0) n=50                     -0x1.35484ef4210a1p+30 -> -0x1.35484ef4210a0p+30 (+1 ulp)
+    chi_sum log1p_taylor(0.5) n=50                      0x1.a057256b0168cp-2 -> 0x1.a057256b0168bp-2 (-1 ulp)
+    chi_sum log1p_taylor(1.5) n=50                      0x1.d6fe5f0ca030fp-1 -> 0x1.d6fe5f0ca030ep-1 (-1 ulp)
+    chi_sum log1p_taylor(2.0) n=5                       0x1.2862f5989df10p+0 -> 0x1.2862f5989df11p+0 (+1 ulp)
+    chi_sum log1p_taylor(2.0) n=50                      0x1.1a6336edf8456p+0 -> 0x1.1a6336edf8b63p+0 (+1,805 ulp)
+
+Every other pin is unchanged.
 """
 
 import pytest
 
 from chisum.series import catalog_lookup, combine
-from chisum.summation import cesaro_mean, chi_limit, chi_sum, euler_transform
+from chisum.summation import (
+    _exact_sum,
+    cesaro_mean,
+    chi_limit,
+    chi_sum,
+    euler_transform,
+)
 
 GEOMETRIC_X = (-3.59, -3.5, -3.123457, -2.0, -1.5, -1.0, -0.7, 0.5, 2.0)
 LOG1P_X = (-3.0, -2.5, 0.5, 1.5, 2.0)
@@ -104,7 +154,7 @@ GOLDEN = {
     'chi_limit alt_log n=1500': '-0x1.ce8293fa0018ap-3',
     'chi_limit alt_log n=2': '-0x1.269621134db90p-3',
     'chi_limit grandi n=1': '0x0.0p+0',
-    'chi_limit grandi n=100': '0x1.feb780bf0c40dp-2',
+    'chi_limit grandi n=100': '0x1.feb780bf0c40ep-2',
     'chi_limit grandi n=1500': '0x1.ffea26a9aa4c5p-2',
     'chi_limit grandi n=2': '0x1.0000000000000p-1',
     'chi_sum alt_harmonic_numbers n=1': '-0x1.0000000000000p-1',
@@ -115,90 +165,90 @@ GOLDEN = {
     'chi_sum alt_log n=100': '-0x1.cfc3280fd94dap-3',
     'chi_sum alt_log n=1500': '-0x1.ce8293fa0019ep-3',
     'chi_sum alt_log n=2': '-0x1.269621134db90p-3',
-    'chi_sum geometric(-0.7) n=1100': '0x1.2d2149f95aef3p-1',
+    'chi_sum geometric(-0.7) n=1100': '0x1.2d2149f95aef2p-1',
     'chi_sum geometric(-0.7) n=2000': '0x1.2d26a3a1776bbp-1',
-    'chi_sum geometric(-0.7) n=400': '0x1.2d0c782d24759p-1',
+    'chi_sum geometric(-0.7) n=400': '0x1.2d0c782d24758p-1',
     'chi_sum geometric(-0.7) n=5': '0x1.224e852f65848p-1',
     'chi_sum geometric(-0.7) n=50': '0x1.2c261307f2407p-1',
     'chi_sum geometric(-1.0) n=1100': '0x1.ffe234428b5aap-2',
-    'chi_sum geometric(-1.0) n=2000': '0x1.ffef9d2bf99fcp-2',
-    'chi_sum geometric(-1.0) n=400': '0x1.ffae07618d108p-2',
-    'chi_sum geometric(-1.0) n=5': '0x1.e4f765fd8adadp-2',
-    'chi_sum geometric(-1.0) n=50': '0x1.fd6d617375dc4p-2',
+    'chi_sum geometric(-1.0) n=2000': '0x1.ffef9d2bf99eap-2',
+    'chi_sum geometric(-1.0) n=400': '0x1.ffae07618d105p-2',
+    'chi_sum geometric(-1.0) n=5': '0x1.e4f765fd8adacp-2',
+    'chi_sum geometric(-1.0) n=50': '0x1.fd6d617375dc5p-2',
     'chi_sum geometric(-1.5) n=1100': '0x1.9977477b9977dp-2',
     'chi_sum geometric(-1.5) n=2000': '0x1.9986b978de593p-2',
     'chi_sum geometric(-1.5) n=400': '0x1.993b3331a3cbfp-2',
-    'chi_sum geometric(-1.5) n=5': '0x1.710cb295e9e1fp-2',
-    'chi_sum geometric(-1.5) n=50': '0x1.96a4e145ac71dp-2',
+    'chi_sum geometric(-1.5) n=5': '0x1.710cb295e9e1bp-2',
+    'chi_sum geometric(-1.5) n=50': '0x1.96a4e145ac718p-2',
     'chi_sum geometric(-2.0) n=1100': '0x1.5532071acdfe0p-2',
     'chi_sum geometric(-2.0) n=2000': '0x1.5541ea4e866d0p-2',
     'chi_sum geometric(-2.0) n=400': '0x1.54f43e3e9dee8p-2',
-    'chi_sum geometric(-2.0) n=5': '0x1.a027525460ac0p-3',
-    'chi_sum geometric(-2.0) n=50': '0x1.524cb404f4fb7p-2',
+    'chi_sum geometric(-2.0) n=5': '0x1.a027525460aa6p-3',
+    'chi_sum geometric(-2.0) n=50': '0x1.524cb404e43ebp-2',
     'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=1100': '-0x1.000ef7f24c761p-3',
     'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=2000': '-0x1.ffb7c42894b0bp-4',
     'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=400': '-0x1.00d5ac3d1ba68p-3',
-    'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=5': '-0x1.190c0ad03d98cp-2',
-    'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=50': '-0x1.0963560f35533p-3',
+    'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=5': '-0x1.190c0ad03d9a9p-2',
+    'chi_sum geometric(-2.0)-0.5*log1p_taylor(1.5) n=50': '-0x1.0963560f77e45p-3',
     'chi_sum geometric(-3.123457) n=1100': '0x1.f0695f24b770bp-3',
     'chi_sum geometric(-3.123457) n=2000': '0x1.f087355296474p-3',
     'chi_sum geometric(-3.123457) n=400': '0x1.eff5637324a84p-3',
-    'chi_sum geometric(-3.123457) n=5': '-0x1.0b1ec7591def0p+1',
+    'chi_sum geometric(-3.123457) n=5': '-0x1.0b1ec7591def7p+1',
     'chi_sum geometric(-3.123457) n=50': '0x1.ef37a85a6b2b6p-3',
     'chi_sum geometric(-3.5) n=1100': '0x1.c6dc62eeb5487p-3',
     'chi_sum geometric(-3.5) n=2000': '0x1.c6f935745ac4fp-3',
     'chi_sum geometric(-3.5) n=400': '0x1.c69df73bce7eep-3',
-    'chi_sum geometric(-3.5) n=5': '-0x1.28bac710cb28cp+2',
+    'chi_sum geometric(-3.5) n=5': '-0x1.28bac710cb296p+2',
     'chi_sum geometric(-3.5) n=50': '0x1.d19aa26af62f0p+1',
     'chi_sum geometric(-3.59) n=1100': '0x1.ae6db456434b4p+5',
     'chi_sum geometric(-3.59) n=2000': '0x1.9541ea8054da2p+5',
     'chi_sum geometric(-3.59) n=400': '0x1.57aa152333059p+5',
-    'chi_sum geometric(-3.59) n=5': '-0x1.5faae8e5a5982p+2',
+    'chi_sum geometric(-3.59) n=5': '-0x1.5faae8e5a598cp+2',
     'chi_sum geometric(-3.59) n=50': '0x1.19e4bf2f69044p+4',
     'chi_sum geometric(0.5) n=1100': '0x1.ff89619a431cbp+0',
-    'chi_sum geometric(0.5) n=2000': '0x1.ffbea08e594a0p+0',
+    'chi_sum geometric(0.5) n=2000': '0x1.ffbea08e5949fp+0',
     'chi_sum geometric(0.5) n=400': '0x1.febc5597e304ep+0',
     'chi_sum geometric(0.5) n=5': '0x1.c5f06f6944674p+0',
     'chi_sum geometric(0.5) n=50': '0x1.f6a5656bb86fdp+0',
     'chi_sum geometric(2.0) n=1100': '0x1.dc22b88002d46p+312',
     'chi_sum geometric(2.0) n=2000': '0x1.14fbeef6feb5cp+564',
-    'chi_sum geometric(2.0) n=400': '0x1.1415c0a2ddc97p+117',
+    'chi_sum geometric(2.0) n=400': '0x1.1415c0a2ddc9ap+117',
     'chi_sum geometric(2.0) n=5': '0x1.cae7d566cf41fp+3',
-    'chi_sum geometric(2.0) n=50': '0x1.0f1a7cee05fc4p+18',
+    'chi_sum geometric(2.0) n=50': '0x1.0f1a7cee05fc3p+18',
     'chi_sum grandi n=1': '0x0.0p+0',
-    'chi_sum grandi n=100': '0x1.feb780bf0c40dp-2',
+    'chi_sum grandi n=100': '0x1.feb780bf0c40ep-2',
     'chi_sum grandi n=1100': '0x1.ffe234428b5aap-2',
     'chi_sum grandi n=1500': '0x1.ffea26a9aa4c5p-2',
     'chi_sum grandi n=2': '0x1.0000000000000p-1',
-    'chi_sum grandi n=2000': '0x1.ffef9d2bf99fcp-2',
-    'chi_sum grandi n=400': '0x1.ffae07618d108p-2',
-    'chi_sum grandi n=5': '0x1.e4f765fd8adadp-2',
-    'chi_sum grandi n=50': '0x1.fd6d617375dc4p-2',
+    'chi_sum grandi n=2000': '0x1.ffef9d2bf99eap-2',
+    'chi_sum grandi n=400': '0x1.ffae07618d105p-2',
+    'chi_sum grandi n=5': '0x1.e4f765fd8adacp-2',
+    'chi_sum grandi n=50': '0x1.fd6d617375dc5p-2',
     'chi_sum log1p_taylor(-2.5) n=1100': '-0x1.f036df6b88c50p+498',
     'chi_sum log1p_taylor(-2.5) n=2000': '-0x1.26a4aeee67bb8p+909',
-    'chi_sum log1p_taylor(-2.5) n=400': '-0x1.34981e05f8b47p+180',
+    'chi_sum log1p_taylor(-2.5) n=400': '-0x1.34981e05f8b4bp+180',
     'chi_sum log1p_taylor(-2.5) n=5': '-0x1.4400000000000p+3',
-    'chi_sum log1p_taylor(-2.5) n=50': '-0x1.11482fdc7d18cp+22',
+    'chi_sum log1p_taylor(-2.5) n=50': '-0x1.11482fdc7d18bp+22',
     'chi_sum log1p_taylor(-3.0) n=1100': '-0x1.449b61b0e5dcap+682',
     'chi_sum log1p_taylor(-3.0) n=2000': 'NumericError',
-    'chi_sum log1p_taylor(-3.0) n=400': '-0x1.d00c9854c04d6p+246',
+    'chi_sum log1p_taylor(-3.0) n=400': '-0x1.d00c9854c04ddp+246',
     'chi_sum log1p_taylor(-3.0) n=5': '-0x1.0ac9afe1da7b1p+4',
-    'chi_sum log1p_taylor(-3.0) n=50': '-0x1.35484ef4210a1p+30',
+    'chi_sum log1p_taylor(-3.0) n=50': '-0x1.35484ef4210a0p+30',
     'chi_sum log1p_taylor(0.5) n=1100': '0x1.9f3f7cfd50a13p-2',
     'chi_sum log1p_taylor(0.5) n=2000': '0x1.9f398730daf30p-2',
     'chi_sum log1p_taylor(0.5) n=400': '0x1.9f56adf36663ep-2',
     'chi_sum log1p_taylor(0.5) n=5': '0x1.ab40f66a55087p-2',
-    'chi_sum log1p_taylor(0.5) n=50': '0x1.a057256b0168cp-2',
+    'chi_sum log1p_taylor(0.5) n=50': '0x1.a057256b0168bp-2',
     'chi_sum log1p_taylor(1.5) n=1100': '0x1.d5398313f4391p-1',
     'chi_sum log1p_taylor(1.5) n=2000': '0x1.d52fdb58ab993p-1',
     'chi_sum log1p_taylor(1.5) n=400': '0x1.d55f145d2bc1cp-1',
     'chi_sum log1p_taylor(1.5) n=5': '0x1.e91fb3fa6defcp-1',
-    'chi_sum log1p_taylor(1.5) n=50': '0x1.d6fe5f0ca030fp-1',
+    'chi_sum log1p_taylor(1.5) n=50': '0x1.d6fe5f0ca030ep-1',
     'chi_sum log1p_taylor(2.0) n=1100': '0x1.194be5b039b7fp+0',
     'chi_sum log1p_taylor(2.0) n=2000': '0x1.1945f0026b8a2p+0',
     'chi_sum log1p_taylor(2.0) n=400': '0x1.196315849f2d5p+0',
-    'chi_sum log1p_taylor(2.0) n=5': '0x1.2862f5989df10p+0',
-    'chi_sum log1p_taylor(2.0) n=50': '0x1.1a6336edf8456p+0',
+    'chi_sum log1p_taylor(2.0) n=5': '0x1.2862f5989df11p+0',
+    'chi_sum log1p_taylor(2.0) n=50': '0x1.1a6336edf8b63p+0',
     'euler_transform alt_harmonic_numbers n=1': '0x1.8000000000000p-2',
     'euler_transform alt_harmonic_numbers n=100': '0x1.62e42fefa39ecp-2',
     'euler_transform alt_harmonic_numbers n=1500': '0x1.62e42fefa39e0p-2',
@@ -223,6 +273,24 @@ def test_bit_identical(case):
 
 def test_every_case_is_pinned():
     assert set(GOLDEN) == set(CASES)
+
+
+# Every series of the chi_sum probe set, grandi among them, has a rational
+# form.
+RATIONAL = _series()
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(
+        c for c in CASES
+        if c.startswith("chi_") and c.split(" ", 1)[1].rsplit(" n=", 1)[0] in RATIONAL
+    ),
+)
+def test_chi_pin_is_the_product_tree(case):
+    # Each is S_n correctly rounded, or the product tree's exception.
+    label, n = case.split(" ", 1)[1].rsplit(" n=", 1)
+    assert outcome(lambda: _exact_sum(RATIONAL[label](), int(n))) == GOLDEN[case]
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from chisum.summation import (
     _exact_sum,
     _fixed_part,
     _fixed_sum,
-    _tail_bound,
     abel_estimate,
     cesaro_mean,
     chi_limit,
@@ -34,7 +33,6 @@ from chisum.summation import (
     euler_transform,
     richardson_accelerate,
 )
-from chisum.weights import chi_row
 
 
 def coefficient_series(coeffs):
@@ -282,8 +280,19 @@ class TestTermsPastTheRow:
         spec = load_custom({"coefficients": [1.0] * 1426 + [huge]})
         assert chi_sum(spec, 2000) == _exact_sum(spec, 2000)
 
-    def test_reads_only_the_row_of_a_rational_series(self):
-        spec = catalog_lookup("geometric", x=0.9)
+    @pytest.mark.parametrize("method", [chi_sum, chi_limit])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            catalog_lookup("geometric", x=0.9),
+            load_custom({"coefficients": [0.0] * 1426 + [1e300]}),
+        ],
+        ids=["geometric", "custom-past-row"],
+    )
+    def test_rational_series_reads_no_term_and_builds_no_row(
+        self, monkeypatch, method, spec
+    ):
+        want = method(spec, 60000)
         pulled = 0
 
         def terms():
@@ -293,44 +302,10 @@ class TestTermsPastTheRow:
                 yield t
 
         counted = dataclasses.replace(spec, terms=terms)
-        assert chi_sum(counted, 60000) == chi_sum(spec, 60000)
-        assert pulled == len(chi_row(60000)) < 60001
-
-    def test_zero_parts_take_no_power(self):
-        # (-2)**2000 overflows, but every coefficient past the row at
-        # n=2000 is zero, so the bound is 0 and the sum stays in doubles.
-        spec = load_custom({"coefficients": [1.0] * 600, "x": -2.0})
-        assert _tail_bound(spec, len(chi_row(2000)), 2000) == 0.0
-
-    @given(
-        rational_series(),
-        st.integers(min_value=1, max_value=3000),
-        st.integers(min_value=1, max_value=3000),
-    )
-    # 0.03**k is subnormal from k=207 on, where the rounding of the terms
-    # outgrows any relative margin.
-    @example(catalog_lookup("geometric", x=0.03), 207, 3000)
-    # The part's bound, 1e-200 * 1e-200, underflows; its terms do not.
-    @example(
-        combine([load_custom({"coefficients": [1e-200] * 301, "x": 4.0})], [1e-200]),
-        300,
-        300,
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_tail_bound_covers_the_terms(self, spec, i, j):
-        m, n = min(i, j), max(i, j)
-        try:
-            tail = list(islice(spec.terms(), m, n + 1))
-        except OverflowError:
-            return
-        # A combine whose parts sit at opposite infinities has a nan term.
-        if not all(map(math.isfinite, tail)):
-            return
-        try:
-            ref = math.fsum(map(abs, tail))
-        except OverflowError:
-            ref = math.inf
-        assert _tail_bound(spec, m, n) >= ref
+        monkeypatch.setattr("chisum.summation.chi_row", None)
+        monkeypatch.setattr("chisum.summation.averaging_row", None)
+        assert method(counted, 60000) == want
+        assert pulled == 0
 
 
 def integral_geometric(x, n):
@@ -344,9 +319,10 @@ def integral_geometric(x, n):
         )
 
 
-class TestDoublePathOracle:
-    # For -1 <= x <= 0.95 the weighted terms do not cancel far, so chi_sum
-    # keeps its double result; the closed form shares no code with it.
+class TestInteriorClosedFormOracle:
+    # Geometric inside the boundary, -2 < x <= 0.95, where the weighted
+    # terms cancel little or not at all; the closed form shares no code
+    # with the fixed-point kernel.
     @given(
         st.floats(min_value=-1.0, max_value=0.95),
         st.integers(min_value=750, max_value=20000),
@@ -364,7 +340,7 @@ class TestDoublePathOracle:
         spec = catalog_lookup("geometric", x=x)
         got = chi_sum(spec, n)
         assert got == pytest.approx(ref, rel=1e-13)
-        assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+        assert chi_limit(spec, n) == got
 
     @given(
         st.floats(min_value=-1.0, max_value=0.95),
@@ -372,7 +348,6 @@ class TestDoublePathOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_geometric_small_n_against_closed_form(self, x, n):
-        # Every row here holds all n + 1 weights (n <= 712) or nearly so.
         try:
             ref = closed_form_geometric(x, n) if x != 0.0 else 1.0
         except (mpmath.mp.NoConvergence, ValueError):
@@ -383,10 +358,10 @@ class TestDoublePathOracle:
             assert got == 0.0 and chi_limit(spec, n) == 0.0
             return
         assert got == pytest.approx(ref, rel=1e-13)
-        assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+        assert chi_limit(spec, n) == got
 
-    # On (0.95, 1) the bound r**m / (1 - r) on the terms past the row
-    # overtakes their count, n - m + 1.
+    # On (0.95, 1) the weights fall slowest, so the kernel reads the most
+    # orders before its integer weights reach 0.
     @given(
         st.floats(min_value=0.95, max_value=1.0, exclude_min=True, exclude_max=True),
         st.integers(min_value=1, max_value=20000),
@@ -400,12 +375,11 @@ class TestDoublePathOracle:
         spec = catalog_lookup("geometric", x=x)
         got = chi_sum(spec, n)
         assert got == pytest.approx(ref, rel=1e-13)
-        assert chi_limit(spec, n) == pytest.approx(got, rel=1e-13)
+        assert chi_limit(spec, n) == got
 
-    # On (-2, -1) the weighted terms cancel, by up to the 1e8 at which the
-    # sum goes exact.  A double result is then only as good as the
-    # absolute sum S_n(|x|) times the roundings in each weighted term,
-    # about 2k of them for term k: at x=-1.3, n=400 it is 3e-10 off.
+    # On (-2, -1) the weighted terms cancel, which a double sum under the
+    # weight row pays for (3e-10 off at x=-1.3, n=400); both forms are
+    # correctly rounded.
     @given(
         st.floats(min_value=-2.0, max_value=-1.0, exclude_min=True, exclude_max=True),
         st.integers(min_value=1, max_value=20000),
@@ -413,14 +387,22 @@ class TestDoublePathOracle:
     @settings(max_examples=40, deadline=None)
     def test_geometric_between_minus_two_and_minus_one(self, x, n):
         ref = closed_form_geometric(x, n)
-        abs_sum = closed_form_geometric(-x, n)  # inf past double range
-        tol = 1e-13 * abs(ref) + 2 * (n + 1) * sys.float_info.epsilon * abs_sum
         spec = catalog_lookup("geometric", x=x)
-        # chi_sum's cancellation ratio is abs_sum / |ref|; past 1e8 it is
-        # exact.  chi_limit's own ratio, over the partial sums, is smaller.
-        exact = abs_sum > 2e8 * abs(ref)
-        assert abs(chi_sum(spec, n) - ref) <= (1e-13 * abs(ref) if exact else tol)
-        assert abs(chi_limit(spec, n) - ref) <= tol
+        got = chi_sum(spec, n)
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert chi_limit(spec, n) == got
+
+    @pytest.mark.parametrize("x, n", [(-1.3, 400), (-1.7, 100)])
+    def test_cancelling_sums_are_correctly_rounded(self, x, n):
+        # A double sum under the weight row is 3.0e-10 and 1.5e-10
+        # relative off here.
+        with mpmath.workdps(60):
+            w, ref = mpmath.mpf(1), mpmath.mpf(1)
+            for k in range(1, n + 1):
+                w *= mpmath.mpf(n - k + 1) / n
+                ref += w * mpmath.mpf(x) ** k
+        spec = catalog_lookup("geometric", x=x)
+        assert chi_sum(spec, n) == chi_limit(spec, n) == float(ref)
 
     def test_integral_matches_closed_form(self):
         for x, n in ((-1.0, 751), (0.3, 800), (0.95, 20000)):
@@ -540,14 +522,17 @@ class TestFixedKernel:
     # _fixed_sum against the product tree it falls back to: the same
     # double, bit for bit, or the same exception.
     @staticmethod
-    def same(spec, n, kernel=fixed_point):
+    def same(spec, n, *kernels):
+        kernels = kernels or (fixed_point,)
         try:
             want = _exact_sum(spec, n)
         except NumericError as exc:
-            with pytest.raises(NumericError, match=f"^{exc}$"):
-                kernel(spec, n)
+            for kernel in kernels:
+                with pytest.raises(NumericError, match=f"^{exc}$"):
+                    kernel(spec, n)
         else:
-            assert repr(kernel(spec, n)) == repr(want)
+            for kernel in kernels:
+                assert repr(kernel(spec, n)) == repr(want)
 
     @given(boundary_series(), st.integers(min_value=1, max_value=300))
     @settings(max_examples=150, deadline=None)
@@ -560,7 +545,15 @@ class TestFixedKernel:
         self.same(spec, n)
 
     @given(
-        boundary_leaf(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+        st.one_of(
+            boundary_leaf(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+            # A constant coefficient other than 1, summed once and scaled.
+            st.builds(
+                lambda x, a: combine([catalog_lookup("geometric", x=x)], [a]),
+                st.floats(-4.0, 4.0),
+                st.floats(-1e3, 1e3),
+            ),
+        ),
         st.integers(min_value=1, max_value=120),
         st.integers(min_value=0, max_value=40),
     )
@@ -593,6 +586,17 @@ class TestFixedKernel:
         want = _exact_sum(spec, n) if want is None else want
         monkeypatch.setattr("chisum.summation._exact_sum", None)
         assert fixed_point(spec, n) == want
+
+    @pytest.mark.parametrize("method", [chi_sum, chi_limit])
+    def test_coefficient_far_out_settles_without_the_product_tree(
+        self, monkeypatch, method
+    ):
+        # The only coefficient sits where the weight is about 1e-308, so a
+        # precision sized by bound(0) alone does not settle.
+        spec = load_custom({"coefficients": [0.0] * 1426 + [1e300]})
+        want = _exact_sum(spec, 2000)
+        monkeypatch.setattr("chisum.summation._exact_sum", None)
+        assert method(spec, 2000) == want
 
     @pytest.mark.parametrize(
         "spec, n, want",
@@ -628,6 +632,15 @@ class TestFixedKernel:
         spec = catalog_lookup("custom", coefficients=[1.0] * (n + 1), x=x)
         monkeypatch.setattr("chisum.summation._fixed_part", None)
         self.same(spec, n, _fixed_sum)
+
+
+class TestOneKernel:
+    # Every series with a rational form, through either defining form:
+    # the product tree's double, bit for bit, or its exception.
+    @given(rational_series(), st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_product_tree(self, spec, n):
+        TestFixedKernel.same(spec, n, chi_sum, chi_limit)
 
 
 class TestDefinitionEquivalence:
@@ -888,7 +901,7 @@ class TestSettledSumFastPath:
         # Both approximants are finite, but 200 * S_200 is not.
         spec = catalog_lookup("geometric", x=91.26)
         r = chi_sweep(spec, (100, 200), accelerate=True)
-        assert r.approximants == (2.9780851061269715e154, 4.997541475244785e307)
+        assert r.approximants == (2.978085106126964e154, 4.997541475244785e307)
         assert not r.accelerated
         assert r.value == r.approximants[-1]
 
