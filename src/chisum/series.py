@@ -83,11 +83,13 @@ class _Constant(tuple):
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
-    """value(), or None where it leaves double range."""
+    """value(), or None where it leaves double range: where it is +-inf
+    or raises OverflowError, or ValueError for inf - inf in an fsum."""
     try:
-        return value()
-    except OverflowError:
+        v = value()
+    except (OverflowError, ValueError):
         return None
+    return None if math.isinf(v) else v
 
 
 def _powers(x: float) -> Iterator[float]:
@@ -122,9 +124,7 @@ def _grandi(name: str = "grandi") -> SeriesSpec:
 def _alt_harmonic_numbers() -> SeriesSpec:
     return SeriesSpec(
         name="alt_harmonic_numbers",
-        terms=lambda: (
-            (-1.0 if k & 1 else 1.0) * h for k, h in enumerate(harmonic_numbers())
-        ),
+        terms=lambda: map(mul, cycle((1.0, -1.0)), harmonic_numbers()),
         exact_value=math.log(2.0) / 2.0,
     )
 
@@ -132,7 +132,7 @@ def _alt_harmonic_numbers() -> SeriesSpec:
 def _alt_log() -> SeriesSpec:
     return SeriesSpec(
         name="alt_log",
-        terms=lambda: ((-1.0 if k & 1 else 1.0) * math.log(1.0 + k) for k in count()),
+        terms=lambda: map(mul, cycle((1.0, -1.0)), map(math.log, count(1.0))),
         exact_value=0.5 * math.log(2.0 / math.pi),
     )
 
@@ -345,8 +345,8 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
     it is their plain sum, +-inf or nan.
 
     The exact value is the same combination when every input carries
-    one, and so is the rational form (the inputs' parts scaled by finite
-    coefficients); otherwise each is left unset.
+    one and it is in double range, and so is the rational form (the
+    inputs' parts scaled by finite coefficients); otherwise each is unset.
     """
     if len(specs) != len(coefficients):
         raise DomainError(
@@ -372,7 +372,9 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
 
     exact = None
     if all(s.exact_value is not None for s in specs):
-        exact = math.fsum(c * s.exact_value for c, s in pairs)
+        exact = _unless_overflow(
+            lambda: math.fsum(c * s.exact_value for c, s in pairs)
+        )
 
     rational = None
     if all(s.rational for s in specs) and all(map(math.isfinite, coefficients)):

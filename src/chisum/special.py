@@ -86,26 +86,19 @@ def harmonic(k: int) -> float:
 def harmonic_numbers() -> Iterator[float]:
     """The stream H_1, H_2, ..., each equal to harmonic(k), at O(1) a term.
 
-    It keeps the running sum of 1/1..1/k exactly, as Shewchuk's
-    nonoverlapping partials (the representation math.fsum builds
-    internally), and yields their correctly rounded sum: the value
-    harmonic(k) rounds to, by construction.
+    It keeps the running sum of the doubles 1/1..1/k exactly, as one
+    integer acc scaled by 2**s: s = 52 + the bit length of j makes each
+    1/j times 2**s an integer, so s grows by one (and acc shifts left)
+    at each power of two.  int -> float conversion rounds correctly, so
+    each value is the correctly rounded sum, the value harmonic(k)
+    rounds to.
     """
-    partials: list[float] = []
+    acc, s, top = 0, 53, 2  # sum so far = acc / 2**s; top = 2**(s - 52)
     for j in count(1):
-        x = 1.0 / j
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        yield math.fsum(partials)
+        if j == top:
+            acc, s, top = acc << 1, s + 1, top << 1
+        acc += int(math.ldexp(1.0 / j, s))
+        yield math.ldexp(float(acc), -s)
 
 
 # Even-index Bernoulli numbers B_2..B_10 for the trigamma tail; these are

@@ -32,8 +32,9 @@ double precision under the weight row (_guarded_sum).  Past the end of
 the row every weight is below sys.float_info.min, so the terms there are
 only checked to be finite; a term that is not finite raises
 NumericError.  Every other method reads the stream too, pulling exactly
-the terms it uses, so an order-n result costs O(n) term work; Abel takes
-a fresh stream per radius.
+the terms it uses, so an order-n result costs O(n) term work; Abel reads
+a fresh stream per radius in blocks, with math.fsum and its stop test
+applied per block.
 
 The Euler transform is always summed exactly: the (E,1) mean is a
 weighted sum of a_0..a_n whose weights are binomial tails over
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from itertools import accumulate, chain, islice, pairwise, repeat
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -595,10 +596,14 @@ def abel_estimate(
     """Abel-style evaluation: A(r) = sum a_k r^k at each radius, by
     truncation once the rest falls below 1e-16 of the running sum.
 
-    For a series with a rational form the rest is bounded in closed form
-    (_abel_tail) and must fall below the threshold, so a run of zero
-    coefficients does not end the sum; for any other series two
-    consecutive terms below the threshold end it.
+    Each radius reads a fresh stream in blocks of 2, 4, ... up to 512
+    terms weighted by the running products r**k; math.fsum adds each
+    block to hi + lo, which carries the sum of the weighted terms read
+    to about 106 bits, hi rounded to double.  The stop test runs
+    once per block: for a series with a rational form the block's last
+    term and the rest, bounded in closed form (_abel_tail), must fall
+    below the threshold, so a run of zero coefficients does not end the
+    sum; for any other series its last two terms must.
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
     AbelRadiusError when a term or the running sum of the inner series
@@ -614,45 +619,45 @@ def abel_estimate(
 
     values = []
     for r in rs:
-        acc = 0.0
-        comp = 0.0
-        rk = 1.0
-        below = 0
-        terms = spec.terms()
-        for k in range(10**6):
-            try:
-                t = next(terms) * rk
+        # map pulls one power per term it reads, so the powers are the
+        # running products 1, r, r*r, ... however the blocks fall.
+        weighted = map(mul, spec.terms(), accumulate(repeat(r), mul, initial=1.0))
+        hi = lo = 0.0
+        k, m = 0, 2  # the terms read, and the next block's length
+        while k < 10**6:
+            m = min(m, 10**6 - k)
+            block = []
+            try:  # extend keeps the terms read before an exception
+                block.extend(islice(weighted, m))
             except DomainError:  # a finite stream, such as bernoulli_power
+                pass
+            if len(block) < m:
                 raise AbelRadiusError(
-                    f"inner series has only {k} terms, too few at radius {r}"
-                ) from None
-            y = t - comp
-            s = acc + y
-            # A term that is not finite makes s not finite too.
-            if not math.isfinite(s):
+                    f"inner series has only {k + len(block)} terms, "
+                    f"too few at radius {r}"
+                )
+            try:
+                s = math.fsum(chain((hi, lo), block))
+                lo = math.fsum(chain((hi, lo, -s), block))
+            except (OverflowError, ValueError):  # past range, or inf - inf
+                s = math.inf
+            if not math.isfinite(s):  # name the first running sum past range
+                sums = enumerate(accumulate(block, initial=hi), k - 1)
+                k = next((j for j, t in sums if not math.isfinite(t)), k + m - 1)
                 raise AbelRadiusError(
                     f"inner series overflowed at radius {r} (term {k})"
                 )
-            comp = (s - acc) - y
-            acc = s
-            rk *= r
-            small = 1e-16 * abs(acc)
-            if abs(t) > small:
-                below = 0
-                continue
-            below += 1
-            if spec.rational is None:
-                if below >= 2:
-                    break
-            # The closed-form rest costs a call per part, so it is checked
-            # on the first small term of a run and every 64th after it.
-            elif below % 64 == 1 and _abel_tail(spec, r, k) <= small:
+            hi, k, m = s, k + m, min(2 * m, 512)
+            small = 1e-16 * abs(hi)
+            if abs(block[-1]) <= small and (
+                abs(block[-2]) if spec.rational is None else _abel_tail(spec, r, k - 1)
+            ) <= small:
                 break
         else:
             raise AbelRadiusError(
                 f"inner series did not reach its tail threshold at radius {r}"
             )
-        values.append(acc)
+        values.append(hi)
 
     if not extrapolate or len(values) == 1:
         return values[-1]

@@ -13,7 +13,7 @@ from chisum.series import (
     load_custom,
     partial_sums,
 )
-from chisum.special import EULER_GAMMA
+from chisum.special import EULER_GAMMA, harmonic
 from chisum.summation import euler_transform
 
 
@@ -221,6 +221,22 @@ class TestCombine:
         with pytest.raises(DomainError, match="k=60"):
             head(c, 62)
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            # 1.5e308 + 1.5e308: fsum's partials overflow.
+            [1e308, 1e308],
+            # 1.5 * 1.5e308 is inf already; with -1.5e308 as well, fsum
+            # meets inf - inf.
+            [1.5e308],
+            [1.5e308, -1.5e308],
+        ],
+    )
+    def test_exact_value_past_double_range_is_none(self, coefficients):
+        third = catalog_lookup("geometric", x=1 / 3)  # exact value 1.5
+        c = combine([third] * len(coefficients), coefficients)
+        assert c.exact_value is None
+
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             combine([catalog_lookup("grandi")], [1.0, 2.0])
@@ -345,6 +361,26 @@ class TestTermStreams:
         assert len(list(islice(stream, 61))) == 61
         with pytest.raises(DomainError, match="k=60"):
             next(stream)
+
+    @pytest.mark.parametrize(
+        "name, magnitude",
+        [
+            # log(k + 1) is how the stream is defined; log1p(k) differs
+            # from it in the last bit at about 1% of k.
+            ("alt_log", lambda k: math.log(k + 1)),
+            ("alt_harmonic_numbers", lambda k: harmonic(k + 1)),
+        ],
+    )
+    def test_alternating_streams_at_sampled_large_k(self, name, magnitude):
+        # Both parities, and the powers of two at which the harmonic
+        # stream's integer scale grows.
+        ks = (0, 1, 2, 1023, 1024, 65535, 65536, 99_999, 524_287, 524_288,
+              999_999, 10**6)
+        stream, got, at = catalog_lookup(name).terms(), [], 0
+        for k in ks:
+            got.append(next(islice(stream, k - at, None)))
+            at = k + 1
+        assert got == [(-1.0) ** k * magnitude(k) for k in ks]
 
     def test_custom_stream_is_zero_past_coefficients(self):
         spec = catalog_lookup("custom", coefficients=[1.0, 2.0], x=3.0)

@@ -1120,6 +1120,49 @@ class TestAbel:
             1 + 5 * 0.9**3, abs=1e-15
         )
 
+    def test_run_of_zeros_across_block_boundaries(self):
+        # The zeros run from term 1 to term 700, across the ends of the
+        # blocks of 2, 4, ..., 256 terms and into the block of 512.
+        spec = load_custom({"coefficients": [1.0] + [0.0] * 700 + [5.0]})
+        assert abel_estimate(spec, (0.999,)) == pytest.approx(
+            1.0 + 5.0 * 0.999**701, rel=1e-15
+        )
+
+    @given(
+        spec=st.one_of(
+            st.sampled_from([catalog_lookup("grandi"), catalog_lookup("alt_log")]),
+            st.floats(-0.95, 0.95).map(lambda x: catalog_lookup("geometric", x=x)),
+            st.builds(
+                lambda c, x: load_custom({"coefficients": c, "x": x}),
+                st.lists(st.floats(-1e3, 1e3), max_size=40),
+                st.floats(-0.95, 0.95),
+            ),
+        ),
+        r=st.floats(0.5, 0.999),
+    )
+    @example(spec=catalog_lookup("alt_log"), r=0.999)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_per_term_sum_to_the_same_order(self, spec, r):
+        # The reference weights each term by the running product r**k, as
+        # the blocks do, and sums them in one fsum up to the order the
+        # blocks stopped at.
+        read = []
+
+        def terms():
+            for t in spec.terms():
+                read.append(t)
+                yield t
+
+        v = abel_estimate(dataclasses.replace(spec, terms=terms), (r,))
+        weighted, rk = [], 1.0
+        for t in read:
+            weighted.append(t * rk)
+            rk *= r
+        want = math.fsum(weighted)
+        # hi + lo carries the sum to about 106 bits, then hi rounds it.
+        slack = 2.0**-90 * math.fsum(map(abs, weighted))
+        assert abs(v - want) <= math.ulp(want) + slack
+
     def test_extrapolation_past_double_range(self):
         spec = load_custom({"coefficients": [1.7e308] + [0.0098e308] * 10})
         # Each radius value is finite, so only the extrapolation fails.
