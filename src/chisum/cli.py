@@ -100,18 +100,10 @@ def _emit_text(record: dict, out) -> None:
         header = rows["header"]
         print("  " + "  ".join(str(h) for h in header), file=out)
         for row in rows["data"]:
-            print(
-                "  "
-                + "  ".join(
-                    f"{v:.10g}" if isinstance(v, float) else str(v) for v in row
-                ),
-                file=out,
-            )
+            cells = (f"{v:.10g}" if isinstance(v, float) else str(v) for v in row)
+            print("  " + "  ".join(cells), file=out)
     for k, v in record.get("results", {}).items():
-        if isinstance(v, float):
-            print(f"{k} = {v!r}", file=out)
-        else:
-            print(f"{k} = {v}", file=out)
+        print(f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}", file=out)
     if record.get("verdict") is not None:
         print(f"verdict = {record['verdict']}", file=out)
 

@@ -83,13 +83,11 @@ class _Constant(tuple):
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
-    """value(), or None where it leaves double range: where it is +-inf
-    or raises OverflowError, or ValueError for inf - inf in an fsum."""
+    """value(), or None where it leaves double range."""
     try:
-        v = value()
-    except (OverflowError, ValueError):
+        return value()
+    except OverflowError:
         return None
-    return None if math.isinf(v) else v
 
 
 def _powers(x: float) -> Iterator[float]:
@@ -372,9 +370,10 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
 
     exact = None
     if all(s.exact_value is not None for s in specs):
-        exact = _unless_overflow(
-            lambda: math.fsum(c * s.exact_value for c, s in pairs)
-        )
+        weighted = [c * s.exact_value for c, s in pairs]
+        # A weighted value past range would give inf, or inf - inf in fsum.
+        if not any(map(math.isinf, weighted)):
+            exact = _unless_overflow(lambda: math.fsum(weighted))
 
     rational = None
     if all(s.rational for s in specs) and all(map(math.isfinite, coefficients)):

@@ -33,8 +33,7 @@ the row every weight is below sys.float_info.min, so the terms there are
 only checked to be finite; a term that is not finite raises
 NumericError.  Every other method reads the stream too, pulling exactly
 the terms it uses, so an order-n result costs O(n) term work; Abel reads
-a fresh stream per radius in blocks, with math.fsum and its stop test
-applied per block.
+a fresh stream per radius in blocks, each added by math.fsum.
 
 The Euler transform is always summed exactly: the (E,1) mean is a
 weighted sum of a_0..a_n whose weights are binomial tails over
@@ -47,8 +46,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, pairwise, repeat
-from operator import mul
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
+from operator import and_, le, mul
 from typing import Iterator, Optional, Sequence
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
@@ -384,9 +383,7 @@ def chi_limit(spec: SeriesSpec, n: int) -> float:
     return _guarded_sum(spec, n, a, _running_sums(spec), math.fsum(a))
 
 
-def classify_convergence(
-    approximants: Sequence[float], n_grid: Sequence[int]
-) -> str:
+def classify_convergence(approximants: Sequence[float], n_grid: Sequence[int]) -> str:
     """Verdict from the successive differences of a grid of approximants.
 
     Converged when the last difference is within max(1e-6, 1e-4 * |last
@@ -397,10 +394,7 @@ def classify_convergence(
     """
     if len(approximants) < 3 or len(approximants) != len(n_grid):
         raise DomainError("need at least 3 grid points with approximants")
-    d = [
-        abs(approximants[i + 1] - approximants[i])
-        for i in range(len(approximants) - 1)
-    ]
+    d = [abs(b - a) for a, b in pairwise(approximants)]
     if d[-1] <= max(1e-6, 1e-4 * abs(approximants[-1])):
         return CONVERGED
     tail = d[-3:]
@@ -494,9 +488,7 @@ def chi_sweep(
     if spec.second_derivative is not None and spec.x is not None:
         # Every catalog, custom and combined series is a power series
         # about 0, so that is the base point.
-        predicted = predicted_error(
-            spec.second_derivative, spec.x, 0.0, grid[-1]
-        )
+        predicted = predicted_error(spec.second_derivative, spec.x, 0.0, grid[-1])
         observed = ratio = None
         if spec.exact_value is not None:
             observed = observed_error(approx[-1], spec.exact_value)
@@ -590,6 +582,21 @@ def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:
     return total
 
 
+def _small_pair(block: list, hi: float, before: bool) -> int:
+    """The count of block's terms, summed on from hi, up to the first that
+    and the term before it (for the first, `before`) are both at or below
+    1e-16 of the running sum; 0 when there is none."""
+    # No running sum exceeds |hi| + len * max|t|, and a pair of terms has
+    # one at an even index: when none of those is at or below twice 1e-16
+    # of that bound, the per-term scan is skipped.
+    bound = abs(hi) + len(block) * math.hypot(*block)
+    if abs(min(block[::2], key=abs)) > 2e-16 * bound:
+        return 0
+    sums = islice(accumulate(block, initial=hi), 1, None)
+    small = list(map(le, map(abs, block), map(mul, map(abs, sums), repeat(1e-16))))
+    return next(compress(count(1), map(and_, chain((before,), small), small)), 0)
+
+
 def abel_estimate(
     spec: SeriesSpec, radii: Sequence[float], extrapolate: bool = False
 ) -> float:
@@ -599,11 +606,12 @@ def abel_estimate(
     Each radius reads a fresh stream in blocks of 2, 4, ... up to 512
     terms weighted by the running products r**k; math.fsum adds each
     block to hi + lo, which carries the sum of the weighted terms read
-    to about 106 bits, hi rounded to double.  The stop test runs
-    once per block: for a series with a rational form the block's last
-    term and the rest, bounded in closed form (_abel_tail), must fall
-    below the threshold, so a run of zero coefficients does not end the
-    sum; for any other series its last two terms must.
+    to about 106 bits, hi rounded to double.  A series with a rational
+    form stops at the end of a block whose last term and rest, bounded
+    in closed form (_abel_tail), fall below the threshold, so a run of
+    zero coefficients does not end the sum.  Any other series stops at
+    its first two consecutive terms below it (_small_pair), wherever in
+    a block they fall: an asymptotic series' small terms may not last.
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
     AbelRadiusError when a term or the running sum of the inner series
@@ -623,19 +631,17 @@ def abel_estimate(
         # running products 1, r, r*r, ... however the blocks fall.
         weighted = map(mul, spec.terms(), accumulate(repeat(r), mul, initial=1.0))
         hi = lo = 0.0
-        k, m = 0, 2  # the terms read, and the next block's length
+        k, m, below = 0, 2, False  # terms read, next block length, last small
         while k < 10**6:
-            m = min(m, 10**6 - k)
-            block = []
+            m, block, end = min(m, 10**6 - k), [], 0
             try:  # extend keeps the terms read before an exception
                 block.extend(islice(weighted, m))
             except DomainError:  # a finite stream, such as bernoulli_power
                 pass
-            if len(block) < m:
-                raise AbelRadiusError(
-                    f"inner series has only {k + len(block)} terms, "
-                    f"too few at radius {r}"
-                )
+            short = len(block) < m
+            if spec.rational is None and block:
+                end = _small_pair(block, hi, below)
+                del block[end or len(block) :]
             try:
                 s = math.fsum(chain((hi, lo), block))
                 lo = math.fsum(chain((hi, lo, -s), block))
@@ -647,12 +653,15 @@ def abel_estimate(
                 raise AbelRadiusError(
                     f"inner series overflowed at radius {r} (term {k})"
                 )
-            hi, k, m = s, k + m, min(2 * m, 512)
+            hi, k, m = s, k + len(block), min(2 * m, 512)
             small = 1e-16 * abs(hi)
-            if abs(block[-1]) <= small and (
-                abs(block[-2]) if spec.rational is None else _abel_tail(spec, r, k - 1)
-            ) <= small:
+            below = bool(block) and abs(block[-1]) <= small
+            if end or spec.rational and below and _abel_tail(spec, r, k - 1) <= small:
                 break
+            if short:
+                raise AbelRadiusError(
+                    f"inner series has only {k} terms, too few at radius {r}"
+                )
         else:
             raise AbelRadiusError(
                 f"inner series did not reach its tail threshold at radius {r}"

@@ -1072,6 +1072,33 @@ class TestEulerTransform:
             euler_transform(catalog_lookup("grandi"), 0)
 
 
+def _weighted(terms, r):
+    """t_k * r**k with the powers as running products."""
+    out, rk = [], 1.0
+    for t in terms:
+        out.append(t * rk)
+        rk *= r
+    return out
+
+
+def _per_term_abel(spec, r):
+    """The Abel sum at r of a series without a rational form, added term
+    by term up to the first two consecutive terms at or below 1e-16 of
+    the running sum; None when its stream ends first."""
+    weighted, acc, rk, below = [], 0.0, 1.0, 0
+    stream = spec.terms()
+    while below < 2:
+        try:
+            t = next(stream) * rk
+        except DomainError:  # a finite stream, such as bernoulli_power
+            return None
+        weighted.append(t)
+        acc += t
+        rk *= r
+        below = below + 1 if abs(t) <= 1e-16 * abs(acc) else 0
+    return math.fsum(weighted)
+
+
 class TestAbel:
     def test_grandi_extrapolated(self):
         v = abel_estimate(
@@ -1128,10 +1155,30 @@ class TestAbel:
             1.0 + 5.0 * 0.999**701, rel=1e-15
         )
 
+    def test_asymptotic_series_stops_in_its_small_terms(self):
+        # At x r = 0.1485 the terms of bernoulli_power fall below the
+        # threshold at k = 29 and 30, across the end of the block of 16,
+        # then grow again; the 61-term stream ends inside the next block.
+        spec = catalog_lookup("bernoulli_power", x=0.15)
+        assert abel_estimate(spec, (0.99,)) == pytest.approx(
+            _per_term_abel(spec, 0.99), rel=1e-15
+        )
+
+    def test_small_terms_inside_a_block_end_the_sum(self):
+        # Terms 3 and 4 are below the threshold and term 5, in the same
+        # block of 4, is not: the sum stops at term 4, as term by term.
+        coeffs = [1.0, 1.0, 1.0, 1e-20, 1e-20] + [1.0] * 10
+        spec = dataclasses.replace(load_custom({"coefficients": coeffs}), rational=None)
+        want = math.fsum(c * 0.5**k for k, c in enumerate(coeffs[:5]))
+        assert abel_estimate(spec, (0.5,)) == want
+
     @given(
         spec=st.one_of(
             st.sampled_from([catalog_lookup("grandi"), catalog_lookup("alt_log")]),
             st.floats(-0.95, 0.95).map(lambda x: catalog_lookup("geometric", x=x)),
+            st.floats(-0.25, 0.25).map(
+                lambda x: catalog_lookup("bernoulli_power", x=x)
+            ),
             st.builds(
                 lambda c, x: load_custom({"coefficients": c, "x": x}),
                 st.lists(st.floats(-1e3, 1e3), max_size=40),
@@ -1141,11 +1188,13 @@ class TestAbel:
         r=st.floats(0.5, 0.999),
     )
     @example(spec=catalog_lookup("alt_log"), r=0.999)
+    @example(spec=catalog_lookup("bernoulli_power", x=0.15), r=0.99)
     @settings(max_examples=40, deadline=None)
     def test_matches_a_per_term_sum_to_the_same_order(self, spec, r):
         # The reference weights each term by the running product r**k, as
-        # the blocks do, and sums them in one fsum up to the order the
-        # blocks stopped at.
+        # the blocks do, and sums them in one fsum: for a series with a
+        # rational form up to the order the blocks stopped at, for any
+        # other up to where a term-by-term loop stops (_per_term_abel).
         read = []
 
         def terms():
@@ -1153,14 +1202,20 @@ class TestAbel:
                 read.append(t)
                 yield t
 
-        v = abel_estimate(dataclasses.replace(spec, terms=terms), (r,))
-        weighted, rk = [], 1.0
-        for t in read:
-            weighted.append(t * rk)
-            rk *= r
-        want = math.fsum(weighted)
+        try:
+            v = abel_estimate(dataclasses.replace(spec, terms=terms), (r,))
+        except AbelRadiusError as exc:
+            assert spec.rational is None and "terms, too few" in str(exc)
+            v = None
+        if spec.rational is None:
+            want = _per_term_abel(spec, r)
+        else:
+            want = math.fsum(_weighted(read, r))
+        if want is None or v is None:
+            assert want is v is None
+            return
         # hi + lo carries the sum to about 106 bits, then hi rounds it.
-        slack = 2.0**-90 * math.fsum(map(abs, weighted))
+        slack = 2.0**-90 * math.fsum(map(abs, _weighted(read, r)))
         assert abs(v - want) <= math.ulp(want) + slack
 
     def test_extrapolation_past_double_range(self):
