@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import chain, count, cycle, islice, repeat
 from operator import mul
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError
 
-from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic_numbers
+from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic_numbers, rounded_dot
 
 # harmonic is not called here, but bench/spans.py wraps it under this
 # module's name, so the binding stays.
@@ -49,13 +48,13 @@ class SeriesSpec:
     exact_value, when present, is the sanctioned assignment (ordinary
     limit or antilimit).  second_derivative is f''(x) of the generating
     function, used by the error predictor; it is None where it leaves
-    double range.  rational, when present, holds parts (x, c, bound)
+    double range.  rational, when present, holds parts (x, c, top, end)
     with a_k = sum c(k) * x**k, c(k) a rational given as a pair of ints
-    (numerator, denominator > 0), not necessarily in lowest terms, and
-    bound(m) a float at least sup_{k>=m} |c(k)|, nonincreasing in m, so
-    that the terms past m can be bounded without reading them.  A
-    constant c is a _Constant, which the summation kernel reads once
-    instead of per term.
+    (numerator, denominator > 0), not necessarily in lowest terms, top a
+    float at least every |c(k)|, and c(k) = 0 from order end on (end is
+    math.inf when the coefficients never end, 0 for an all-zero part), so
+    terms can be bounded without reading them.  A constant c is a
+    _Constant, which the summation kernel reads once, not per term.
     """
 
     name: str
@@ -64,10 +63,7 @@ class SeriesSpec:
     second_derivative: Optional[float] = None
     x: Optional[float] = None
     rational: Optional[
-        tuple[
-            tuple[float, Callable[[int], tuple[int, int]], Callable[[int], float]],
-            ...,
-        ]
+        tuple[tuple[float, Callable[[int], tuple[int, int]], float, float], ...]
     ] = field(default=None, repr=False)
     asymptotic_only: bool = False
 
@@ -109,7 +105,7 @@ def _geometric(x: float) -> SeriesSpec:
             _unless_overflow(lambda: 2.0 / (1.0 - x) ** 3) if x != 1.0 else None
         ),
         x=x,
-        rational=((x, _Constant((1, 1)), lambda m: 1.0),),
+        rational=((x, _Constant((1, 1)), 1.0, math.inf),),
     )
 
 
@@ -151,7 +147,7 @@ def _log1p_taylor(x: float) -> SeriesSpec:
         x=x,
         # |c(k)| = 1/k <= 1.
         rational=(
-            (x, lambda k: (1 if k & 1 else -1, k) if k else (0, 1), lambda m: 1.0),
+            (x, lambda k: (1 if k & 1 else -1, k) if k else (0, 1), 1.0, math.inf),
         ),
     )
 
@@ -180,7 +176,7 @@ def _custom(
     coeffs = tuple(float(c) for c in coefficients)
     xv = 1.0 if x is None else float(x)
     # Every coefficient from `end` on is zero, and the largest |c(k)|
-    # bounds the others: bound(m) is O(1).
+    # bounds the others.
     end = len(coeffs) - next(
         (i for i, c in enumerate(reversed(coeffs)) if c), len(coeffs)
     )
@@ -199,7 +195,8 @@ def _custom(
                     lambda k: (
                         coeffs[k].as_integer_ratio() if k < len(coeffs) else (0, 1)
                     ),
-                    lambda m: top if m < end else 0.0,
+                    top,
+                    end,
                 ),
             )
             if all(map(math.isfinite, (xv, *coeffs)))
@@ -325,16 +322,6 @@ def _product_up(a: float, b: float) -> float:
     return math.nextafter(a * b, math.inf) if a and b else 0.0
 
 
-def _rounded_sum(values: Sequence[float]) -> float:
-    """The exact sum of finite doubles, rounded once; +-inf past double
-    range."""
-    exact = sum(map(Fraction, values))
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
     """Termwise linear combination of series: its stream zips the inputs'
     streams; term k is the fsum of the weighted terms k.  Where fsum
@@ -362,7 +349,7 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
             except (OverflowError, ValueError):  # past range, or inf - inf
                 weighted = tuple(map(mul, coeffs, ts))
                 t = (
-                    _rounded_sum(weighted)
+                    rounded_dot(weighted, repeat(1))
                     if all(map(math.isfinite, weighted))
                     else sum(weighted)
                 )
@@ -386,10 +373,11 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
                 else lambda k, f=c.as_integer_ratio(), part=part: (
                     tuple(map(mul, f, part(k)))
                 ),
-                lambda m, a=abs(c), bound=bound: _product_up(a, bound(m)),
+                _product_up(abs(c), top),
+                end if c else 0,
             )
             for c, s in pairs
-            for x, part, bound in s.rational
+            for x, part, top, end in s.rational
         )
 
     return SeriesSpec(

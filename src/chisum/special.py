@@ -1,7 +1,7 @@
 """Special-function kernel: Bernoulli numbers, harmonic numbers (one at a
 time, or as an O(1)-per-term stream), trigamma, the Euler-Maclaurin
-generating function h, the Euler-Mascheroni constant, and the
-summability-boundary constant kappa.
+generating function h, the Euler-Mascheroni constant, the boundary
+constant kappa, and the rounding of every exact sum (rounded, rounded_dot).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exceptions import DomainError, NumericError
 
@@ -99,6 +99,24 @@ def harmonic_numbers() -> Iterator[float]:
             acc, s, top = acc << 1, s + 1, top << 1
         acc += int(math.ldexp(1.0 / j, s))
         yield math.ldexp(float(acc), -s)
+
+
+def rounded(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded; +-inf past double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def rounded_dot(values: Iterable[float], weights: Iterable, scale: int = 1) -> float:
+    """sum_i values[i] * weights[i] / scale, for finite doubles, int
+    weights and an int scale > 0, summed exactly and rounded once; a value
+    that is not finite raises OverflowError (inf) or ValueError (nan)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max((q for _, q in ratios), default=1)  # q is a power of two
+    num = sum(p * (den // q) * w for (p, q), w in zip(ratios, weights))
+    return rounded(num, den * scale)
 
 
 # Even-index Bernoulli numbers B_2..B_10 for the trigamma tail; these are

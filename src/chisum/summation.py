@@ -37,22 +37,22 @@ a fresh stream per radius in blocks, each added by math.fsum.
 
 The Euler transform is always summed exactly: the (E,1) mean is a
 weighted sum of a_0..a_n whose weights are binomial tails over
-2**(n+1), so it is one integer sum over the double terms, rounded once,
-in O(n) big-integer steps instead of a difference table.
+2**(n+1), so it is one integer sum over the double terms, rounded once
+(special.rounded_dot), in O(n) big-integer steps, not a difference table.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
-from operator import and_, le, mul
+from operator import and_, index, le, mul
 from typing import Iterator, Optional, Sequence
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
 from .exceptions import AbelRadiusError, DomainError, NumericError
 from .series import SeriesSpec, _running_sums, partial_sums
+from .special import rounded, rounded_dot
 from .weights import averaging_row, chi_row
 
 __all__ = [
@@ -120,30 +120,23 @@ def _split(c, n: int, p: int, step: int, a: int, b: int):
 def _exact_sum(spec: SeriesSpec, n: int) -> float:
     """S_n from the series' rational form in Python ints, rounded once.
 
-    A part (x, c, _), with x = p/q and step = n*q, is
+    A part (x, c, _, _), with x = p/q and step = n*q, is
     sum_{k<=n} c(k) * (n)_k * p**k / step**k, the fraction T / (B*Q) of
-    _split over [0, n+1).  Every (P, Q, B, T) is exact, so each part is
-    exactly the same rational however the range is split; the parts are
-    added by cross-multiplying, and the final int / int rounds correctly.
+    _split over [0, n+1), every order read whatever the part's end.  Each
+    (P, Q, B, T) is exact, so each part is exactly the same rational
+    however the range is split; the parts are added by cross-multiplying,
+    and the final quotient is rounded once (rounded).
     """
     num, den = 0, 1
-    for x, c, _ in spec.rational:
+    for x, c, _, _ in spec.rational:
         p, q = x.as_integer_ratio()
         _, Q, B, T = _split(c, n, p, n * q, 0, n + 1)
         scale = B * Q
         num, den = num * scale + T * den, den * scale
-    try:
-        return num / den
-    except OverflowError:
-        raise NumericError(f"weighted sum overflows at order {n}") from None
-
-
-def _support(bound, n: int) -> int:
-    """The order m <= n + 1 from which a part's coefficients, by its
-    bound, are all zero: bound(m) == 0, with bound nonincreasing."""
-    if bound(n):
-        return n + 1
-    return bisect_left(range(n), 0.0, key=lambda m: -bound(m))
+    value = rounded(num, den)
+    if math.isinf(value):
+        raise NumericError(f"weighted sum overflows at order {n}")
+    return value
 
 
 def _fixed_bits(spec: SeriesSpec, n: int) -> int:
@@ -157,16 +150,16 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
     (n)_k |x|**k / n**k that meets a coefficient and S the sum's guessed
     scale.  W sits at the orders around k* = n (1 - 1/|x|), where the
     ratio |x| (n - k) / n of consecutive weights falls through 1, or at
-    the last order before a part's coefficients end (_support); for
-    |x| <= 1 it is 1.  S is taken from where the large coefficients sit:
-    each part's bound(0) times the weight, if below 1, at the first order
-    whose coefficient is within a factor 4 of bound(0).
+    the last order before a part's coefficients end; for |x| <= 1 it is
+    1.  S is taken from where the large coefficients sit: each part's
+    top times the weight, if below 1, at the first order whose
+    coefficient is within a factor 4 of top.
     """
     ln2 = math.log(2.0)
     log_w, big, scale = 0.0, -math.inf, -math.inf  # log2 of W, B and S
-    for x, c, bound in spec.rational:
-        end, b, r = _support(bound, n), bound(0), abs(x)
-        if not end or b == math.inf:  # a zero part, or one for the tree
+    for x, c, top, end in spec.rational:
+        end, r = min(end, n + 1), abs(x)
+        if not end or top == math.inf:  # a zero part, or one for the tree
             continue
 
         def weight(k: int) -> float:  # log2 of (n)_k r**k / n**k
@@ -176,7 +169,7 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
         if r > 1.0:
             k = min(end - 1, int(n * (1.0 - 1.0 / r)))
             log_w = max(log_w, weight(k), weight(min(end - 1, k + 1)))
-        lb = math.log2(b)
+        lb = math.log2(top)
         big = max(big, lb)
         at = 0
         if r:
@@ -185,15 +178,15 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
                 if num and abs(num).bit_length() - den.bit_length() >= lb - 1:
                     break
             else:
-                at = 0  # no coefficient up to n comes near b
+                at = 0  # no coefficient up to n comes near top
         scale = max(scale, lb + min(0.0, weight(at)) if at else lb)
     extra = big - scale + max(0.0, -big) if scale > -math.inf else 0.0
     return 64 + 2 * n.bit_length() + math.ceil(log_w + extra)
 
 
-def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
-    """(A, E, s) for one part (x, c, bound) at precision P = bits: its sum
-    lies within E * 2**(s - P) of A * 2**(s - P).
+def _fixed_part(x: float, c, top, end, n: int, bits: int) -> tuple[int, int, int]:
+    """(A, E, s) for one part (x, c, top, end) at precision P = bits: its
+    sum lies within E * 2**(s - P) of A * 2**(s - P).
 
     With x = p/q (q a power of two), the weight 2**P * (n)_k |x|**k / n**k
     runs as t_0 = 2**P and t_k = floor(t_{k-1} * r_k), with the ratio
@@ -206,9 +199,9 @@ def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
     counting the bits cut; from k* on the weights only fall and no cut
     happens.
 
-    The loop stops at the order `end` from which every coefficient is
-    zero (_support), or at the first t_k that is 0, after which every
-    later one is.
+    The loop stops at min(end, n + 1), from which every coefficient is
+    zero or past the sum, or at the first t_k that is 0, after which
+    every later one is.
 
     The bound: floors only round down, so every quantity is at most its
     exact value, and nested floors of nonnegatives are one floor.  Up to
@@ -217,12 +210,12 @@ def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
     at most one unit, so weight k is low by rho times itself plus
     k - k* units.  A term's own floor, or a constant c's two final ones,
     adds less than one unit each, and each cut of the two sums less than
-    two, times |c| for a constant c.  With B = bound(0) >= |c(k)|, and
+    two, times |c| for a constant c.  With B = top >= |c(k)|, and
     ceil(B) >= 1 unless every c(k) is 0, E <= rho * (exact absolute sum)
     + R, where R = ceil(B) (m (m+1)/2 + 2 cuts) + (n+1) and m = end-1-k*
     counts the orders read past k*; the exact absolute sum is at most
     the computed one plus E, which gives E <= 2 rho * (computed sum) + 2 R
-    for rho <= 1/2.  A bound(0) past double range raises OverflowError.
+    for rho <= 1/2.  A top past double range raises OverflowError.
     """
     p, q = x.as_integer_ratio()
     shift = q.bit_length() - 1
@@ -231,7 +224,7 @@ def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
     const = isinstance(c, tuple)
     # k* = the number of ratios (n-j+1)|p| / (n*q) >= 1, j = 1..n.
     peak = min(n, max(0, n + 1 + (-n * q // ap))) if ap else 0
-    end = _support(bound, n)
+    end = min(end, n + 1)
     limit = 1 << (bits + _RENORM)
     t = 1 << bits
     sums = [0, 0]  # the weighted terms added and subtracted
@@ -263,17 +256,9 @@ def _fixed_part(x: float, c, bound, n: int, bits: int) -> tuple[int, int, int]:
         if num < 0:
             pos, neg = neg, pos
     m = max(0, end - 1 - peak)
-    rest = math.ceil(bound(0)) * (m * (m + 1) // 2 + 2 * cuts) + n + 1
+    rest = math.ceil(top) * (m * (m + 1) // 2 + 2 * cuts) + n + 1
     err = (peak * (pos + neg) >> (bits - 2)) + 1 + 2 * rest
     return pos - neg, err, cut
-
-
-def _to_double(num: int, exp: int) -> float:
-    """num * 2**exp correctly rounded, or +-inf past double range."""
-    try:
-        return num / (1 << -exp) if exp < 0 else float(num << exp)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
 
 
 def _fixed_sum(spec: SeriesSpec, n: int) -> float:
@@ -286,7 +271,7 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     Each part's sum lies within a proven bound of a scaled integer
     (_fixed_part); the parts are put on the finest of their scales, so
     the exact S_n lies in [(A - E) * 2**e, (A + E) * 2**e].  Rounding is
-    monotone and int / int rounds correctly, so when both ends round to
+    monotone and rounded is correct, so when both ends round to
     the same double, S_n rounds to it too (Ziv's strategy).  The
     precision starts at _fixed_bits and doubles at most twice; a sum
     still unsettled, such as an exact midpoint or a zero sum, which
@@ -295,20 +280,21 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     """
     bits = _fixed_bits(spec, n)
     step = n.bit_length() + max(
-        sum(i.bit_length() for i in x.as_integer_ratio()) for x, _, _ in spec.rational
+        sum(i.bit_length() for i in x.as_integer_ratio()) for x, *_ in spec.rational
     )
     if _TREE_RATIO * bits > n * step:
         return _exact_sum(spec, n)
     for p in (bits, 2 * bits, 4 * bits):
         try:
-            parts = [_fixed_part(x, c, bound, n, p) for x, c, bound in spec.rational]
+            parts = [_fixed_part(*part, n, p) for part in spec.rational]
         except OverflowError:  # a coefficient bound past double range
             break
         low = min(s for _, _, s in parts)
         total = sum(a << (s - low) for a, _, s in parts)
         err = sum(e << (s - low) for _, e, s in parts)
-        lo = _to_double(total - err, low - p)
-        if lo and lo == _to_double(total + err, low - p):
+        up, den = 1 << max(0, low - p), 1 << max(0, p - low)  # 2**(low - p)
+        lo = rounded((total - err) * up, den)
+        if lo and lo == rounded((total + err) * up, den):
             if math.isinf(lo):
                 raise NumericError(f"weighted sum overflows at order {n}")
             return lo
@@ -350,6 +336,14 @@ def _guarded_sum(
     return math.fsum(terms) / norm
 
 
+def _order(n) -> int:
+    """n through operator.index (numpy integers pass), else DomainError."""
+    try:
+        return index(n)
+    except TypeError:
+        raise DomainError(f"an order must be an integer, got {n!r}") from None
+
+
 def chi_sum(spec: SeriesSpec, n: int) -> float:
     """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
@@ -358,6 +352,7 @@ def chi_sum(spec: SeriesSpec, n: int) -> float:
     weight row.  Any other series takes the guarded double sum of the
     terms a_0..a_n under chi_row(n) (_guarded_sum).
     """
+    n = _order(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if spec.rational is not None:
@@ -375,6 +370,7 @@ def chi_limit(spec: SeriesSpec, n: int) -> float:
     weight past the row is k*w(k)/n <= w(k) < sys.float_info.min, so the
     partial sums there are read and checked, not summed.
     """
+    n = _order(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if spec.rational is not None:
@@ -461,9 +457,10 @@ def chi_sweep(
       corrupts it);
     - the last raw approximant.
     accelerated says whether one of the first two was taken; approximants
-    are the same with or without accelerate.
+    are the same with or without accelerate.  An order that is not an
+    integer raises DomainError.
     """
-    grid = tuple(int(n) for n in n_grid)
+    grid = tuple(map(_order, n_grid))
     if not grid:
         raise DomainError("empty n-grid")
     if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
@@ -528,6 +525,15 @@ def cesaro_mean(spec: SeriesSpec, n: int) -> float:
     return mean
 
 
+def _binomial_tails(n: int) -> Iterator[int]:
+    """T_i = sum_{m=i+1..n+1} C(n+1, m) = T_{i-1} - C(n+1, i), i = 0..n."""
+    tail, binom = (1 << (n + 1)) - 1, 1  # T_i and C(n+1, i), at i = 0
+    for i in range(1, n + 2):
+        yield tail
+        binom = binom * (n + 2 - i) // i
+        tail -= binom
+
+
 def euler_transform(spec: SeriesSpec, n: int) -> float:
     """(E,1) mean of a_0..a_n, the Euler transform
     sum_{j=0..n} (-1)^j (D^j b)(0) / 2^(j+1) of b_k = (-1)^k a_k, with D
@@ -536,11 +542,11 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     Expanding the differences gives one weighted sum,
     E_n = sum_i a_i * T_i / 2^(n+1) with T_i = sum_{m=i+1..n+1} C(n+1, m),
     since sum_{j=i..n} C(j, i) / 2^(j+1) = P(Bin(n+1, 1/2) >= i+1)
-    (Hardy, Divergent Series, ch. 8).  The terms are put over one
-    power-of-two denominator and the walk from i = n down to 0 carries
-    C(n+1, i+1) and T_i in Python ints, so the cost is O(n) big-integer
-    steps, not the O(n**2) of the difference table, and the result is
-    the correctly rounded mean of the double terms.  Its error is then
+    (Hardy, Divergent Series, ch. 8).  rounded_dot puts the terms over
+    one power-of-two denominator and _binomial_tails walks T_0..T_n in
+    Python ints, so the cost is O(n) big-integer steps, not the O(n**2)
+    of the difference table, and the result is the correctly rounded
+    mean of the double terms.  Its error is then
     the rounding of the terms: on alt_log at n = 100..2000 it is 12 to
     190 ulp from a 60-digit mean of the exact terms (the table's was 5
     to 156).  A term that is not finite raises NumericError naming its
@@ -550,36 +556,23 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
         raise DomainError(f"need n >= 1, got {n}")
     a = list(islice(spec.terms(), n + 1))
     try:
-        den = max(t.as_integer_ratio()[1] for t in a)
+        mean = rounded_dot(a, _binomial_tails(n), 1 << (n + 1))
     except (OverflowError, ValueError):  # inf and nan have no ratio
         k = next(k for k, t in enumerate(a) if not math.isfinite(t))
         raise NumericError(f"non-finite term at index {k}") from None
-    num = 0
-    binom = tail = 1  # C(n+1, i+1) and T_i, at i = n
-    for i in range(n, -1, -1):
-        p, q = a[i].as_integer_ratio()
-        num += p * (den // q) * tail
-        binom = binom * (i + 1) // (n + 1 - i)
-        tail += binom
-    try:
-        return num / (den << (n + 1))
-    except OverflowError:
-        raise NumericError(f"Euler mean overflows at order {n}") from None
+    if math.isinf(mean):
+        raise NumericError(f"Euler mean overflows at order {n}")
+    return mean
 
 
 def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:
     """A bound on sum_{j>k} |a_j| r**j from spec's rational form: each
-    part (x, c, bound) adds bound(k+1) * z**(k+1) / (1 - z), z = |x| r,
-    and is inf when z >= 1; a part with bound(k+1) = 0 adds nothing."""
-    total = 0.0
-    for x, _, bound in spec.rational:
-        b = bound(k + 1)
-        if b:
-            z = abs(x) * r
-            if z >= 1.0:
-                return math.inf
-            total += b * z ** (k + 1) / (1.0 - z)
-    return total
+    part (x, c, top, end) with k+1 < end adds top * z**(k+1) / (1 - z),
+    z = |x| r, and is inf when z >= 1."""
+    parts = [(t, abs(x) * r) for x, _, t, end in spec.rational if k + 1 < end]
+    if any(z >= 1.0 for _, z in parts):
+        return math.inf
+    return sum(t * z ** (k + 1) / (1.0 - z) for t, z in parts)
 
 
 def _small_pair(block: list, hi: float, before: bool) -> int:

@@ -50,8 +50,8 @@ class ToeplitzDiagnostics:
     nonnegative: bool
 
 
-# Rows are cached because sweeps revisit the same orders; the cache is
-# read-mostly and lru_cache is safe for concurrent readers.
+# Cached for calls that repeat an order, as bernoulli_power at several x
+# does; a sweep's orders rarely recur.  lru_cache is safe for readers.
 @lru_cache(maxsize=64)
 def chi_row(n: int) -> tuple[float, ...]:
     """Head of the weight row at order n: the tuple w[0], w[1], ... while

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chisum.exceptions import DomainError, SeriesFormatError, UnknownSeriesError
 from chisum.series import (
@@ -242,6 +244,85 @@ class TestCombine:
             combine([catalog_lookup("grandi")], [1.0, 2.0])
         with pytest.raises(DomainError):
             combine([], [])
+
+
+def check_parts(spec):
+    """Every part (x, c, top, end) of spec's rational form: top bounds
+    |c(k)| below end, c(k) is 0 from end on, and a part with end > 0 has
+    top > 0 (the kernel takes log2(top) of it)."""
+    for x, c, top, end in spec.rational:
+        assert end == math.inf or (isinstance(end, int) and end >= 0)
+        assert end == 0 or top > 0.0
+        for k in range(min(end, 200)):
+            num, den = c(k)
+            assert den > 0 and abs(Fraction(num, den)) <= top
+        if end < math.inf:
+            assert all(c(k)[0] == 0 for k in range(end, end + 5))
+
+
+_RATIONAL_PARAMS = [
+    ("geometric", {"x": -2.5}),
+    ("geometric", {"x": 0.0}),
+    ("grandi", {}),
+    ("alternating_unit", {}),
+    ("log1p_taylor", {"x": 3.0}),
+    ("custom", {"coefficients": [1.5, -2.0, 0.0, 0.0], "x": 2.0}),  # trailing zeros
+    ("custom", {"coefficients": [0.0, -0.0, 0.0]}),  # all zeros
+    ("custom", {"coefficients": []}),
+    ("custom", {"coefficients": [0.0] * 300 + [1e-300]}),  # ends past 200
+]
+
+
+class TestRationalParts:
+    def test_every_catalog_series_with_a_rational_form_is_listed(self):
+        listed = {name for name, _ in _RATIONAL_PARAMS}
+        for name in CATALOG_NAMES:
+            params = {"x": 0.5, "coefficients": [1.0]}
+            if catalog_lookup(name, **params).rational is not None:
+                assert name in listed
+
+    @pytest.mark.parametrize("name, params", _RATIONAL_PARAMS)
+    def test_catalog_and_custom_parts(self, name, params):
+        check_parts(catalog_lookup(name, **params))
+
+    @pytest.mark.parametrize(
+        "coefficients, ends",
+        [([1.5, -2.0, 0.0, 0.0], [2]), ([0.0, 0.0], [0]), ([], [0])],
+    )
+    def test_custom_end_is_one_past_the_last_nonzero(self, coefficients, ends):
+        spec = load_custom({"coefficients": coefficients})
+        assert [end for *_, end in spec.rational] == ends
+
+    def test_a_zero_combination_coefficient_ends_its_parts_at_zero(self):
+        parts = [
+            catalog_lookup("geometric", x=-3.0),
+            catalog_lookup("log1p_taylor", x=0.5),
+            load_custom({"coefficients": [2.0, 0.0, 3.0]}),
+        ]
+        spec = combine(parts, [0.0, -2.5, 0.0])
+        check_parts(spec)
+        assert [(top, end) for _, _, top, end in spec.rational] == [
+            (0.0, 0),
+            (math.nextafter(2.5, math.inf), math.inf),
+            (0.0, 0),
+        ]
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(-1e300, 1e300)), max_size=12
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.one_of(st.just(0.0), st.floats(-1e8, 1e8)), min_size=4),
+        st.floats(-4.0, 4.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_combined_parts(self, coefficient_lists, weights, x):
+        specs = [load_custom({"coefficients": cs, "x": x}) for cs in coefficient_lists]
+        specs.append(catalog_lookup("geometric", x=x))
+        check_parts(combine(specs, weights[: len(specs)]))
 
 
 class TestCustomSeries:

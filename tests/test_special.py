@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chisum.exceptions import DomainError
 from chisum.special import (
@@ -12,6 +14,8 @@ from chisum.special import (
     bernoulli_numbers,
     harmonic,
     harmonic_numbers,
+    rounded,
+    rounded_dot,
     solve_kappa,
     trigamma,
 )
@@ -187,3 +191,94 @@ class TestEulerGamma:
 
     def test_consistent_with_harmonic(self):
         assert abs(harmonic(10**6) - math.log(10**6) - EULER_GAMMA) <= 1e-6
+
+
+def fraction_to_double(q):
+    """The reference rounding: float(q), or the infinity of q's sign where
+    that overflows."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+# (num, den) with num / den a subnormal double or just below the
+# smallest one: den is 2**1070..2**1140 times an odd cofactor.
+_SUBNORMAL = st.builds(
+    lambda num, k, f: (num * f, (f << k)),
+    st.integers(-(2**60), 2**60),
+    st.integers(1070, 1140),
+    st.integers(1, 999).map(lambda f: 2 * f + 1),
+)
+# Exact halfway points between adjacent doubles m * 2**e and (m+1) * 2**e,
+# as (num, den, m, e), scaled by a common factor f and signed; m has 53
+# bits, or e = -1074 and the two neighbours are subnormal.
+_TIES = st.builds(
+    lambda me, f, sign: (
+        sign * ((2 * me[0] + 1) << max(0, me[1] - 1)) * f,
+        (1 << max(0, 1 - me[1])) * f,
+        sign * me[0],
+        me[1],
+    ),
+    st.one_of(
+        st.tuples(st.integers(2**52, 2**53 - 1), st.integers(-1074, 970)),
+        st.tuples(st.integers(0, 2**52 - 1), st.just(-1074)),
+    ),
+    st.integers(1, 10**6),
+    st.sampled_from((1, -1)),
+)
+
+
+class TestRounding:
+    @given(
+        st.one_of(
+            st.tuples(st.integers(-(2**1100), 2**1100), st.integers(1, 2**1100)),
+            _SUBNORMAL,
+        )
+    )
+    # Past double range on either side, and the tie between the largest
+    # double and 2**1024, which rounds to even, past double range.
+    @example((2**1024, 1))
+    @example((-(2**1100), 3))
+    @example((2**1024 - 2**970, 1))
+    @settings(max_examples=500, deadline=None)
+    def test_rounded_is_the_fraction_rounded(self, pair):
+        num, den = pair
+        assert repr(rounded(num, den)) == repr(fraction_to_double(Fraction(num, den)))
+
+    @given(_TIES)
+    @example((2**53 + 1, 2**53, 2**52, -52))  # 1 + 2**-53 rounds to 1.0
+    @settings(max_examples=300, deadline=None)
+    def test_ties_round_to_even(self, tie):
+        num, den, m, e = tie
+        even = m if m % 2 == 0 else m + (1 if m > 0 else -1)
+        assert rounded(num, den) == math.ldexp(even, e)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-(2**64), 2**64),
+            ),
+            max_size=30,
+        ),
+        st.integers(1, 2**300),
+    )
+    # Terms that cancel to a subnormal, and a sum past double range.
+    @example([(1e-300, 1), (-1e-300, 1), (5e-324, 3)], 1)
+    @example([(1.7e308, 1), (1.7e308, 1)], 1)
+    @example([(-1.7e308, 2**64)], 1)
+    @settings(max_examples=300, deadline=None)
+    def test_rounded_dot_is_the_fraction_sum_rounded(self, pairs, scale):
+        values = [v for v, _ in pairs]
+        weights = [w for _, w in pairs]
+        exact = sum((Fraction(v) * w for v, w in pairs), Fraction(0)) / scale
+        got = rounded_dot(values, weights, scale)
+        assert repr(got) == repr(fraction_to_double(exact))
+
+    @pytest.mark.parametrize(
+        "bad, error", [(math.inf, OverflowError), (math.nan, ValueError)]
+    )
+    def test_rounded_dot_rejects_a_value_that_is_not_finite(self, bad, error):
+        with pytest.raises(error):
+            rounded_dot([1.0, bad], [1, 1])

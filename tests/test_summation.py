@@ -565,8 +565,8 @@ class TestFixedKernel:
         # At a few bits the floors move A well away from the exact sum, so
         # this checks the error bound itself, not only a rounded result.
         bits = n.bit_length() + 2 + extra
-        ((x, c, bound),) = spec.rational
-        a, e, s = _fixed_part(x, c, bound, n, bits)
+        ((x, c, top, end),) = spec.rational
+        a, e, s = _fixed_part(x, c, top, end, n, bits)
         exact, w = Fraction(0), Fraction(1)
         for k in range(n + 1):
             exact += Fraction(*c(k)) * w
@@ -794,6 +794,26 @@ class TestSweepAndClassification:
             chi_sweep(g, ())
         with pytest.raises(DomainError):
             chi_sweep(g, (10, 10, 20))
+
+    @pytest.mark.parametrize("name", ["geometric", "alt_log"])
+    def test_an_order_that_is_not_an_integer_raises(self, name):
+        # A float order is refused, not truncated (99.9 to 99).
+        spec = catalog_lookup(name, x=-2.0)
+        with pytest.raises(DomainError, match="integer"):
+            chi_sweep(spec, [99.9, 200.5, 400.7])
+        for method in (chi_sum, chi_limit):
+            with pytest.raises(DomainError, match="integer"):
+                method(spec, 100.5)
+
+    def test_numpy_integer_orders_pass(self):
+        np = pytest.importorskip("numpy")
+
+        spec = catalog_lookup("geometric", x=-2.0)
+        r = chi_sweep(spec, np.array([10, 20, 40]))
+        assert r.n_grid == (10, 20, 40)
+        assert all(type(n) is int for n in r.n_grid)
+        assert r.approximants == chi_sweep(spec, (10, 20, 40)).approximants
+        assert chi_sum(spec, np.int64(40)) == r.approximants[-1]
 
     def test_rate_halves_when_n_doubles(self):
         # O(1/n) regularity rate on a convergent geometric series.
