@@ -21,7 +21,7 @@ from operator import mul
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError
+from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError, _order
 
 from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic_numbers, rounded_dot
 
@@ -310,10 +310,9 @@ def _running_sums(spec: SeriesSpec) -> Iterator[float]:
 
 
 def partial_sums(spec: SeriesSpec, n: int) -> tuple[float, ...]:
-    """Compensated prefix sums s_0..s_n, not finite from one past range on."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    return tuple(islice(_running_sums(spec), n + 1))
+    """Compensated prefix sums s_0..s_n, not finite from one past range
+    on; a non-integer n, or n < 0, raises DomainError."""
+    return tuple(islice(_running_sums(spec), _order(n, 0) + 1))
 
 
 def _product_up(a: float, b: float) -> float:

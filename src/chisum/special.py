@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, Iterator
 
-from .exceptions import DomainError, NumericError
+from .exceptions import DomainError, NumericError, _order
 
 __all__ = [
     "BernoulliTable",
@@ -48,38 +48,36 @@ class BernoulliTable:
 
 
 @lru_cache(maxsize=1)
-def _bernoulli_fractions(m: int) -> tuple[Fraction, ...]:
-    # Exact rational recurrence: sum_{j=0..m} C(m+1, j) B_j = m + 1
-    # under the B_1 = +1/2 convention.
+def _bernoulli() -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    # B_0..B_60 exact and as doubles, from the exact rational recurrence
+    # sum_{j=0..m} C(m+1, j) B_j = m + 1 (the B_1 = +1/2 convention).
     b: list[Fraction] = [Fraction(1)]
-    for i in range(1, m + 1):
+    for i in range(1, _BERNOULLI_MAX + 1):
         s = sum(math.comb(i + 1, j) * b[j] for j in range(i))
         b.append(Fraction(i + 1 - s, i + 1))
-    return tuple(b)
+    return tuple(b), tuple(map(float, b))
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
     """Bernoulli numbers B_0..B_m (B_1 = +1/2), exact rationals rounded
     to double precision.
 
-    Raises DomainError for m > 60: past that point the magnitude growth
-    of B_m exceeds double precision's useful accuracy.
+    Raises DomainError unless m is an integer in 0..60: past 60 the
+    magnitude growth of B_m exceeds double precision's useful accuracy.
     """
-    if m < 0:
-        raise DomainError(f"need m >= 0, got {m}")
+    m = _order(m, 0, "m")
     if m > _BERNOULLI_MAX:
         raise DomainError(
             f"m={m} exceeds the double-precision validity window "
             f"(m <= {_BERNOULLI_MAX})"
         )
-    fracs = _bernoulli_fractions(_BERNOULLI_MAX)[: m + 1]
-    return BernoulliTable(values=tuple(float(f) for f in fracs))
+    return BernoulliTable(values=_bernoulli()[1][: m + 1])
 
 
 def harmonic(k: int) -> float:
-    """Harmonic number H_k = sum_{j=1..k} 1/j, compensated."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    """Harmonic number H_k = sum_{j=1..k} 1/j, compensated; a non-integer
+    k, or k < 1, raises DomainError."""
+    k = _order(k, name="k")
     return math.fsum(1.0 / j for j in range(1, k + 1))
 
 

@@ -46,11 +46,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
-from operator import and_, index, le, mul
+from operator import and_, le, mul
 from typing import Iterator, Optional, Sequence
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
-from .exceptions import AbelRadiusError, DomainError, NumericError
+from .exceptions import AbelRadiusError, DomainError, NumericError, _order
 from .series import SeriesSpec, _running_sums, partial_sums
 from .special import rounded, rounded_dot
 from .weights import averaging_row, chi_row
@@ -159,7 +159,7 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
     log_w, big, scale = 0.0, -math.inf, -math.inf  # log2 of W, B and S
     for x, c, top, end in spec.rational:
         end, r = min(end, n + 1), abs(x)
-        if not end or top == math.inf:  # a zero part, or one for the tree
+        if not end:  # a zero part
             continue
 
         def weight(k: int) -> float:  # log2 of (n)_k r**k / n**k
@@ -215,7 +215,7 @@ def _fixed_part(x: float, c, top, end, n: int, bits: int) -> tuple[int, int, int
     + R, where R = ceil(B) (m (m+1)/2 + 2 cuts) + (n+1) and m = end-1-k*
     counts the orders read past k*; the exact absolute sum is at most
     the computed one plus E, which gives E <= 2 rho * (computed sum) + 2 R
-    for rho <= 1/2.  A top past double range raises OverflowError.
+    for rho <= 1/2.
     """
     p, q = x.as_integer_ratio()
     shift = q.bit_length() - 1
@@ -265,8 +265,8 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     """S_n from the series' rational form in fixed point, correctly
     rounded: the double _exact_sum returns, in a fraction of its time
     where the working precision is small next to the product tree's
-    integers; elsewhere (_TREE_RATIO: x large, or n small) it calls
-    _exact_sum at once.
+    integers; elsewhere (_TREE_RATIO: x large, or n small; a top past
+    double range) it calls _exact_sum at once.
 
     Each part's sum lies within a proven bound of a scaled integer
     (_fixed_part); the parts are put on the finest of their scales, so
@@ -278,6 +278,8 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     never settle, goes to _exact_sum.  Both ends past double range raise
     NumericError, as _exact_sum does.
     """
+    if any(top == math.inf for _, _, top, _ in spec.rational):
+        return _exact_sum(spec, n)
     bits = _fixed_bits(spec, n)
     step = n.bit_length() + max(
         sum(i.bit_length() for i in x.as_integer_ratio()) for x, *_ in spec.rational
@@ -285,10 +287,7 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     if _TREE_RATIO * bits > n * step:
         return _exact_sum(spec, n)
     for p in (bits, 2 * bits, 4 * bits):
-        try:
-            parts = [_fixed_part(*part, n, p) for part in spec.rational]
-        except OverflowError:  # a coefficient bound past double range
-            break
+        parts = [_fixed_part(*part, n, p) for part in spec.rational]
         low = min(s for _, _, s in parts)
         total = sum(a << (s - low) for a, _, s in parts)
         err = sum(e << (s - low) for _, e, s in parts)
@@ -336,25 +335,16 @@ def _guarded_sum(
     return math.fsum(terms) / norm
 
 
-def _order(n) -> int:
-    """n through operator.index (numpy integers pass), else DomainError."""
-    try:
-        return index(n)
-    except TypeError:
-        raise DomainError(f"an order must be an integer, got {n!r}") from None
-
-
 def chi_sum(spec: SeriesSpec, n: int) -> float:
     """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
     A series with a rational form gets S_n correctly rounded from the
     fixed-point kernel (_fixed_sum), which reads no term and builds no
     weight row.  Any other series takes the guarded double sum of the
-    terms a_0..a_n under chi_row(n) (_guarded_sum).
+    terms a_0..a_n under chi_row(n) (_guarded_sum).  A non-integer n, or
+    n < 1, raises DomainError.
     """
     n = _order(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
     if spec.rational is not None:
         return _fixed_sum(spec, n)
     return _guarded_sum(spec, n, chi_row(n), spec.terms(), 1.0)
@@ -368,11 +358,10 @@ def chi_limit(spec: SeriesSpec, n: int) -> float:
     from chi_sum.  Any other series takes the guarded double sum over
     the partial sums, normalised by the row's sum.  Each averaging
     weight past the row is k*w(k)/n <= w(k) < sys.float_info.min, so the
-    partial sums there are read and checked, not summed.
+    partial sums there are read and checked, not summed.  A non-integer
+    n, or n < 1, raises DomainError.
     """
     n = _order(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
     if spec.rational is not None:
         return _fixed_sum(spec, n)
     a = averaging_row(n)
@@ -458,13 +447,11 @@ def chi_sweep(
     - the last raw approximant.
     accelerated says whether one of the first two was taken; approximants
     are the same with or without accelerate.  An order that is not an
-    integer raises DomainError.
+    integer, or is below 1, raises DomainError.
     """
     grid = tuple(map(_order, n_grid))
-    if not grid:
-        raise DomainError("empty n-grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise DomainError("n-grid must be strictly increasing positive integers")
+    if not grid or any(b <= a for a, b in pairwise(grid)):
+        raise DomainError("n-grid must be nonempty and strictly increasing")
     approx = tuple(chi_sum(spec, n) for n in grid)
     verdict = classify_convergence(approx, grid) if len(grid) >= 3 else INCONCLUSIVE
     value = None
@@ -509,9 +496,9 @@ def cesaro_mean(spec: SeriesSpec, n: int) -> float:
     A term that is not finite raises NumericError naming its index, and
     so does a partial sum past double range.  When only the sum of the
     partial sums leaves double range, each is divided by n + 1 first.
+    A non-integer n, or n < 0, raises DomainError.
     """
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
+    n = _order(n, 0)
     sums = partial_sums(spec, n)
     try:
         mean = math.fsum(sums) / (n + 1)
@@ -550,10 +537,10 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     the rounding of the terms: on alt_log at n = 100..2000 it is 12 to
     190 ulp from a 60-digit mean of the exact terms (the table's was 5
     to 156).  A term that is not finite raises NumericError naming its
-    index; a mean past double range raises NumericError.
+    index; a mean past double range raises NumericError, and a
+    non-integer n, or n < 1, DomainError.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _order(n)
     a = list(islice(spec.terms(), n + 1))
     try:
         mean = rounded_dot(a, _binomial_tails(n), 1 << (n + 1))

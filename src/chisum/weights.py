@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _order
 
 __all__ = [
     "ToeplitzDiagnostics",
@@ -62,9 +62,9 @@ def chi_row(n: int) -> tuple[float, ...]:
     there is no overflow for n > 170.  The row holds all n + 1 weights
     up to n = 712 and ends before the first subnormal weight from n = 713
     on; every weight past it counts as zero (see the module docstring).
+    A non-integer n, or n < 1, raises DomainError.
     """
-    if n < 1:
-        raise DomainError(f"order n must be positive, got {n}")
+    n = _order(n)
     w = [1.0]
     for k in range(1, n + 1):
         wk = w[-1] * (1.0 - (k - 1) / n)
@@ -76,7 +76,8 @@ def chi_row(n: int) -> tuple[float, ...]:
 
 def averaging_row(n: int) -> tuple[float, ...]:
     """Averaging-form row a[k] = k*w[k]/n over the head of chi_row(n);
-    entries sum to 1, and every entry past the head is zero."""
+    entries sum to 1, and every entry past the head is zero; n as in chi_row."""
+    n = _order(n)
     return tuple(k * wk / n for k, wk in enumerate(chi_row(n)))
 
 

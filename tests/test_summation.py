@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import cycle, islice
 from pathlib import Path
 from unittest import mock
@@ -33,6 +34,8 @@ from chisum.summation import (
     euler_transform,
     richardson_accelerate,
 )
+from chisum.special import bernoulli_numbers, harmonic
+from chisum.weights import averaging_row, chi_row
 
 
 def coefficient_series(coeffs):
@@ -633,6 +636,16 @@ class TestFixedKernel:
         monkeypatch.setattr("chisum.summation._fixed_part", None)
         self.same(spec, n, _fixed_sum)
 
+    def test_a_top_past_double_range_goes_to_the_tree_at_once(self, monkeypatch):
+        # 1e10 * 1e300 leaves double range, so the part's top is inf and no
+        # precision can be sized from it; the sum itself is in range.
+        spec = load_custom({"coefficients": [0.0] + [1e300] * 800, "x": 1e-3})
+        spec = combine([spec], [1e10])
+        assert spec.rational[0][2] == math.inf
+        want = _exact_sum(spec, 2000)
+        monkeypatch.setattr("chisum.summation._fixed_part", None)
+        assert chi_sum(spec, 2000) == want == 1.0010004994984988e307
+
 
 class TestOneKernel:
     # Every series with a rational form, through either defining form:
@@ -797,13 +810,29 @@ class TestSweepAndClassification:
 
     @pytest.mark.parametrize("name", ["geometric", "alt_log"])
     def test_an_order_that_is_not_an_integer_raises(self, name):
-        # A float order is refused, not truncated (99.9 to 99).
+        # A float order is refused, not truncated (99.9 to 99), by every
+        # function that takes an order, and so is one below its least.
         spec = catalog_lookup(name, x=-2.0)
         with pytest.raises(DomainError, match="integer"):
             chi_sweep(spec, [99.9, 200.5, 400.7])
-        for method in (chi_sum, chi_limit):
-            with pytest.raises(DomainError, match="integer"):
-                method(spec, 100.5)
+        methods = [
+            (partial(chi_sum, spec), 1),
+            (partial(chi_limit, spec), 1),
+            (lambda n: chi_sweep(spec, [n]), 1),
+            (partial(cesaro_mean, spec), 0),
+            (partial(euler_transform, spec), 1),
+            (partial(partial_sums, spec), 0),
+            (chi_row, 1),
+            (averaging_row, 1),
+            (bernoulli_numbers, 0),
+            (harmonic, 1),
+        ]
+        for method, least in methods:
+            for order in (100.5, "3", None):
+                with pytest.raises(DomainError, match="integer"):
+                    method(order)
+            with pytest.raises(DomainError, match=f">= {least}, got {least - 1}$"):
+                method(least - 1)
 
     def test_numpy_integer_orders_pass(self):
         np = pytest.importorskip("numpy")
@@ -814,6 +843,28 @@ class TestSweepAndClassification:
         assert all(type(n) is int for n in r.n_grid)
         assert r.approximants == chi_sweep(spec, (10, 20, 40)).approximants
         assert chi_sum(spec, np.int64(40)) == r.approximants[-1]
+
+        # The same value, of the same Python types, as for the int order;
+        # the numpy order comes first, so a cached row is built from it.
+        half = catalog_lookup("geometric", x=-0.5)
+        chi_row.cache_clear()
+        methods = [
+            (partial(chi_limit, spec), 40),
+            (partial(cesaro_mean, half), 40),
+            (partial(euler_transform, half), 20),
+            (partial(euler_transform, half), 70),
+            (partial(partial_sums, half), 40),
+            (chi_row, 40),
+            (averaging_row, 40),
+            (bernoulli_numbers, 20),
+            (harmonic, 40),
+        ]
+        for method, n in methods:
+            got, want = method(np.int64(n)), method(n)
+            got, want = (getattr(v, "values", v) for v in (got, want))
+            assert got == want
+            values = got if isinstance(got, tuple) else (got,)
+            assert all(type(v) is float for v in values)
 
     def test_rate_halves_when_n_doubles(self):
         # O(1/n) regularity rate on a convergent geometric series.
@@ -1166,6 +1217,12 @@ class TestAbel:
         assert abel_estimate(spec, (0.9,)) == pytest.approx(
             1 + 5 * 0.9**3, abs=1e-15
         )
+
+    def test_zeros_at_a_divergent_radius_do_not_end_the_sum(self):
+        # |x| r = 1.35 >= 1: the tail bound is inf, so the two zero terms
+        # after a_0 do not stop the sum before a_4 = 1.35**4.
+        spec = load_custom({"coefficients": [1, 0, 0, 0, 1], "x": 1.5})
+        assert abel_estimate(spec, (0.9,)) == 4.3215062500000005
 
     def test_run_of_zeros_across_block_boundaries(self):
         # The zeros run from term 1 to term 700, across the ends of the
