@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError, _order
 
-from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic_numbers, rounded_dot
+from .special import bernoulli_gen_fn, bernoulli_numbers, harmonic_numbers, rounded_mean
 
 # harmonic is not called here, but bench/spans.py wraps it under this
 # module's name, so the binding stays.
@@ -323,14 +323,14 @@ def _product_up(a: float, b: float) -> float:
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
     """Termwise linear combination of series: its stream zips the inputs'
-    streams; term k is the fsum of the weighted terms k.  Where fsum
-    overflows on finite weighted terms it is their exact sum, rounded
-    once (+-inf past double range); where a weighted term is not finite
-    it is their plain sum, +-inf or nan.
+    streams, and term k is special.rounded_mean of the weighted terms k:
+    their fsum, or their exact sum rounded once where fsum overflows on
+    finite values, or their plain sum (+-inf or nan) where one is not.
 
-    The exact value is the same combination when every input carries
-    one and it is in double range, and so is the rational form (the
-    inputs' parts scaled by finite coefficients); otherwise each is unset.
+    The exact value is the same combination, by the same rule, when every
+    input carries one and it is in double range, and so is the rational
+    form (the inputs' parts scaled by finite coefficients); otherwise
+    each is unset.
     """
     if len(specs) != len(coefficients):
         raise DomainError(
@@ -346,20 +346,13 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
             try:
                 t = math.fsum(map(mul, coeffs, ts))
             except (OverflowError, ValueError):  # past range, or inf - inf
-                weighted = tuple(map(mul, coeffs, ts))
-                t = (
-                    rounded_dot(weighted, repeat(1))
-                    if all(map(math.isfinite, weighted))
-                    else sum(weighted)
-                )
+                t = rounded_mean(tuple(map(mul, coeffs, ts)))
             yield t
 
     exact = None
     if all(s.exact_value is not None for s in specs):
-        weighted = [c * s.exact_value for c, s in pairs]
-        # A weighted value past range would give inf, or inf - inf in fsum.
-        if not any(map(math.isinf, weighted)):
-            exact = _unless_overflow(lambda: math.fsum(weighted))
+        exact = rounded_mean([c * s.exact_value for c, s in pairs])
+        exact = exact if math.isfinite(exact) else None
 
     rational = None
     if all(s.rational for s in specs) and all(map(math.isfinite, coefficients)):

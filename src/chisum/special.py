@@ -1,7 +1,8 @@
 """Special-function kernel: Bernoulli numbers, harmonic numbers (one at a
 time, or as an O(1)-per-term stream), trigamma, the Euler-Maclaurin
 generating function h, the Euler-Mascheroni constant, the boundary
-constant kappa, and the rounding of every exact sum (rounded, rounded_dot).
+constant kappa, the rounding of every exact sum (rounded, rounded_dot)
+and of every double sum (rounded_mean).
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from typing import Iterable, Iterator
+from itertools import count, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .exceptions import DomainError, NumericError, _order
 
@@ -115,6 +116,19 @@ def rounded_dot(values: Iterable[float], weights: Iterable, scale: int = 1) -> f
     den = max((q for _, q in ratios), default=1)  # q is a power of two
     num = sum(p * (den // q) * w for (p, q), w in zip(ratios, weights))
     return rounded(num, den * scale)
+
+
+def rounded_mean(values: Sequence[float], norm: float = 1.0) -> float:
+    """math.fsum(values) / norm for norm > 0; where fsum overflows on finite
+    values, their exact sum over norm rounded once (+-inf past double
+    range), and where a value is not finite, their plain sum over norm."""
+    try:
+        return math.fsum(values) / norm
+    except (OverflowError, ValueError):  # past range, or inf - inf
+        if not all(map(math.isfinite, values)):
+            return sum(values) / norm
+        p, q = norm.as_integer_ratio()
+        return rounded_dot(values, repeat(q), p)
 
 
 # Even-index Bernoulli numbers B_2..B_10 for the trigamma tail; these are

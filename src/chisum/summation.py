@@ -30,10 +30,13 @@ bernoulli_power, and any combine that includes one of them) is read in
 order from its term stream (SeriesSpec.terms), up to a_n, and summed in
 double precision under the weight row (_guarded_sum).  Past the end of
 the row every weight is below sys.float_info.min, so the terms there are
-only checked to be finite; a term that is not finite raises
-NumericError.  Every other method reads the stream too, pulling exactly
-the terms it uses, so an order-n result costs O(n) term work; Abel reads
-a fresh stream per radius in blocks, each added by math.fsum.
+only checked to be finite.  Every other method reads the stream too,
+pulling exactly the terms it uses, so an order-n result costs O(n) term
+work; Abel reads a fresh stream per radius in blocks, each added by
+math.fsum.  The double path and Cesaro's mean sum by one rule,
+special.rounded_mean, and they and the Euler mean report a failure
+through one check, _checked, which names the first term that is not
+finite.
 
 The Euler transform is always summed exactly: the (E,1) mean is a
 weighted sum of a_0..a_n whose weights are binomial tails over
@@ -52,7 +55,7 @@ from typing import Iterator, Optional, Sequence
 from .error_model import ErrorEstimate, observed_error, predicted_error
 from .exceptions import AbelRadiusError, DomainError, NumericError, _order
 from .series import SeriesSpec, _running_sums, partial_sums
-from .special import rounded, rounded_dot
+from .special import rounded, rounded_dot, rounded_mean
 from .weights import averaging_row, chi_row
 
 __all__ = [
@@ -300,11 +303,14 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     return _exact_sum(spec, n)
 
 
-def _first_nonfinite(spec: SeriesSpec, n: int) -> Optional[int]:
-    """Index of the first of a_0..a_n that is not finite, or None when
-    all of them are finite."""
+def _checked(value: float, spec: SeriesSpec, n: int, overflow: str) -> float:
+    """value when it is finite; otherwise NumericError naming the first of
+    a_0..a_n that is not finite, or, when all are, with message overflow."""
+    if math.isfinite(value):
+        return value
     terms = enumerate(islice(spec.terms(), n + 1))
-    return next((k for k, t in terms if not math.isfinite(t)), None)
+    k = next((k for k, t in terms if not math.isfinite(t)), None)
+    raise NumericError(overflow if k is None else f"non-finite term at index {k}")
 
 
 def _guarded_sum(
@@ -312,27 +318,20 @@ def _guarded_sum(
 ) -> float:
     """S_n of spec, a series without a rational form, as
     sum_k row[k] * x_k / norm over the first n + 1 values x_k of stream,
-    a sequence built from its terms, in double precision.
+    a sequence built from its terms, summed by special.rounded_mean.
 
     The values past the row, where every weight is below
     sys.float_info.min, are read only to check that they are finite, so
-    terms there large enough to move the sum are missed.  A term that is
-    not finite raises NumericError naming its index, and so does a sum
-    that leaves double range.
+    terms there large enough to move the sum are missed.  A value that
+    is not finite, or a sum past double range, raises NumericError
+    (_checked), naming the first term that is not finite if there is one.
     """
     # The row comes first, so map stops after len(row) values and never
-    # pulls the value past them; islice then stops at x_n.  The absolute
-    # sum is not finite when a term is not or a sum leaves double range.
+    # pulls the value past them; islice then stops at x_n.
     terms = list(map(mul, row, stream))
-    past_row = sum(map(abs, islice(stream, n + 1 - len(row))))
-    if not math.isfinite(sum(map(abs, terms)) + past_row):
-        k = _first_nonfinite(spec, n)
-        if k is not None:
-            raise NumericError(f"non-finite weighted term at index {k}")
-        if not math.isfinite(sum(map(abs, terms))):
-            raise NumericError(f"weighted sum overflows at order {n}")
-        # Only the sum of the values past the row overflowed.
-    return math.fsum(terms) / norm
+    past = all(map(math.isfinite, islice(stream, n + 1 - len(row))))
+    value = rounded_mean(terms, norm) if past else math.nan
+    return _checked(value, spec, n, f"weighted sum overflows at order {n}")
 
 
 def chi_sum(spec: SeriesSpec, n: int) -> float:
@@ -358,7 +357,8 @@ def chi_limit(spec: SeriesSpec, n: int) -> float:
     from chi_sum.  Any other series takes the guarded double sum over
     the partial sums, normalised by the row's sum.  Each averaging
     weight past the row is k*w(k)/n <= w(k) < sys.float_info.min, so the
-    partial sums there are read and checked, not summed.  A non-integer
+    partial sums there are read and checked, not summed: one that is not
+    finite raises NumericError, as a term past double range does.  A non-integer
     n, or n < 1, raises DomainError.
     """
     n = _order(n)
@@ -491,25 +491,14 @@ def chi_sweep(
 
 
 def cesaro_mean(spec: SeriesSpec, n: int) -> float:
-    """Arithmetic mean of the partial sums s_0..s_n ((C,1) mean).
-
-    A term that is not finite raises NumericError naming its index, and
-    so does a partial sum past double range.  When only the sum of the
-    partial sums leaves double range, each is divided by n + 1 first.
-    A non-integer n, or n < 0, raises DomainError.
+    """Arithmetic mean of the partial sums s_0..s_n ((C,1) mean), by
+    special.rounded_mean.  A term that is not finite raises NumericError
+    naming its index, and so does a partial sum past double range; a
+    non-integer n, or n < 0, raises DomainError.
     """
     n = _order(n, 0)
-    sums = partial_sums(spec, n)
-    try:
-        mean = math.fsum(sums) / (n + 1)
-    except OverflowError:
-        mean = math.fsum(s / (n + 1) for s in sums)
-    if not math.isfinite(mean):
-        k = _first_nonfinite(spec, n)
-        if k is not None:
-            raise NumericError(f"non-finite term at index {k}")
-        raise NumericError(f"partial sums overflow by order {n}")
-    return mean
+    mean = rounded_mean(partial_sums(spec, n), n + 1)
+    return _checked(mean, spec, n, f"partial sums overflow by order {n}")
 
 
 def _binomial_tails(n: int) -> Iterator[int]:
@@ -545,11 +534,8 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     try:
         mean = rounded_dot(a, _binomial_tails(n), 1 << (n + 1))
     except (OverflowError, ValueError):  # inf and nan have no ratio
-        k = next(k for k, t in enumerate(a) if not math.isfinite(t))
-        raise NumericError(f"non-finite term at index {k}") from None
-    if math.isinf(mean):
-        raise NumericError(f"Euler mean overflows at order {n}")
-    return mean
+        mean = math.nan
+    return _checked(mean, spec, n, f"Euler mean overflows at order {n}")
 
 
 def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:

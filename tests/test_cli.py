@@ -344,9 +344,10 @@ class TestTableCommand:
         assert code == EXIT_OK
         assert text.splitlines()[-1].startswith("exact,1.0,")
 
-    def test_window_enforced(self):
+    def test_window_enforced(self, capsys):
         code, _ = run_cli("table", "--n-list", "65")
         assert code == EXIT_USAGE
+        assert "k=60" in capsys.readouterr().err
 
 
 class TestKappaCommand:

@@ -209,9 +209,11 @@ class TestCombine:
         ],
     )
     def test_overflowing_fsum_gives_the_exact_term(self, values, want):
-        parts = [load_custom({"coefficients": [v]}) for v in values]
+        parts = [load_custom({"coefficients": [v], "exact": v}) for v in values]
         c = combine(parts, [1.0] * len(values))
         assert head(c, 2) == [want, 0.0]
+        # The exact value follows the same rule, and is unset past range.
+        assert c.exact_value == (want if math.isfinite(want) else None)
         if math.isfinite(want):
             # The Euler mean needs every term finite: (3 a_0 + a_1) / 4.
             assert euler_transform(c, 1) == float(Fraction(want) * 3 / 4)

@@ -16,6 +16,7 @@ from chisum.special import (
     harmonic_numbers,
     rounded,
     rounded_dot,
+    rounded_mean,
     solve_kappa,
     trigamma,
 )
@@ -282,3 +283,37 @@ class TestRounding:
     def test_rounded_dot_rejects_a_value_that_is_not_finite(self, bad, error):
         with pytest.raises(error):
             rounded_dot([1.0, bad], [1, 1])
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+        st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.integers(1, 10**6),
+        ),
+    )
+    # fsum's partials overflow on a finite sum, on a finite mean of a sum
+    # past double range, and on a mean past it on either side.
+    @example([1e308, 1e308, -1e308], 1.0)
+    @example([1.7465889708633651e308, 2.418409407964337e307] * 2, 4)
+    @example([1.7e308, 1.7e308], 0.5)
+    @example([-1.7e308, -1.7e308], 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_rounded_mean_is_fsum_or_the_fraction_rounded(self, values, norm):
+        try:
+            want = math.fsum(values) / norm
+        except OverflowError:
+            exact = sum(map(Fraction, values), Fraction(0)) / Fraction(norm)
+            want = fraction_to_double(exact)
+        assert repr(rounded_mean(values, norm)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([math.inf, 1.0], math.inf),
+            ([1e308, 1e308, math.inf], math.inf),  # fsum overflows first
+            ([math.inf, -math.inf], math.nan),  # fsum raises ValueError
+            ([math.nan, 1.0], math.nan),
+        ],
+    )
+    def test_rounded_mean_of_values_not_all_finite(self, values, want):
+        assert repr(rounded_mean(values, 2.0)) == repr(want)

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from itertools import cycle, islice
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -115,6 +116,23 @@ class TestChiSum:
         )
         with pytest.raises(NumericError, match="weighted sum overflows at order 5$"):
             chi_sum(both, 5)
+
+    def test_weighted_sum_that_fsum_cannot_hold_without_rational_form(self):
+        # fsum's partials overflow on 1e308 + 1e308, but the weighted sum,
+        # 1e308 + 1e308 - 0.8e308 plus the log terms, is in range; the
+        # averaging form's s_1 = 2e308 is not.
+        both = combine(
+            [
+                catalog_lookup("alt_log"),
+                load_custom({"coefficients": [1e308, 1e308, -1e308]}),
+            ],
+            [1.0, 1.0],
+        )
+        terms = islice(both.terms(), 6)
+        exact = sum(map(mul, map(Fraction, chi_row(5)), map(Fraction, terms)))
+        assert chi_sum(both, 5) == float(exact) == 1.2e308
+        with pytest.raises(NumericError, match="^weighted sum overflows at order 5$"):
+            chi_limit(both, 5)
 
     def test_custom_cancelling_sum_is_exact(self):
         # Near the boundary a custom series cancels as the geometric one
@@ -266,6 +284,25 @@ class TestTermsPastTheRow:
         both = combine([alog, catalog_lookup("geometric", x=x)], [1.0, 1.0])
         ref = closed_form_geometric(x, n) + chi_sum(alog, n)
         assert chi_sum(both, n) == pytest.approx(ref, rel=1e-12)
+
+    def test_chi_limit_reports_partial_sums_past_the_row_without_rational_form(
+        self,
+    ):
+        # Every term is finite, but s_k overflows from k=1801, where the
+        # averaging weights are below sys.float_info.min yet times 2e308
+        # need not be negligible; with no rational form to redo the sum
+        # from, the double path raises rather than leave them out.
+        spec = combine(
+            [
+                catalog_lookup("alt_log"),
+                load_custom({"coefficients": [0.5] * 1800 + [1e308, 1e308]}),
+            ],
+            [1.0, 1.0],
+        )
+        assert math.isfinite(chi_sum(spec, 2000))
+        overflow = "^weighted sum overflows at order 2000$"
+        with pytest.raises(NumericError, match=overflow):
+            chi_limit(spec, 2000)
 
     def test_chi_limit_ignores_partial_sums_past_the_row(self):
         # s_k overflows from k=1801, where the averaging weights are zero;
@@ -1019,6 +1056,10 @@ class TestCesaro:
         # fsum of the partial sums 1e308, 1e308, 1e308 leaves double
         # range, but their mean does not.
         assert cesaro_mean(coefficient_series([1e308]), 2) == 1e308
+        # The exact mean of 1.75e308, 2.4e307 and 2.4e307, rounded once;
+        # dividing each partial sum first is 1 ulp off.
+        spec = coefficient_series([1.7465889708633651e308, -1.5047479300669314e308])
+        assert cesaro_mean(spec, 2) == 7.434236841520775e307
 
 
 def fraction_difference_table(terms):
