@@ -99,10 +99,9 @@ def exp_approx_gap(n: int, samples: int) -> float:
     """Max of |(1 - x/n)^n - exp(-x)| over a uniform grid on [0, n].
 
     The analytic bound is 1/(e*n); callers assert the returned gap stays
-    below it.
+    below it.  A non-integer n, or n < 1, raises DomainError.
     """
-    if n < 1:
-        raise DomainError(f"order n must be positive, got {n}")
+    n = _order(n)
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     gap = 0.0

@@ -18,14 +18,18 @@ from hypothesis import strategies as st
 
 import chisum
 from chisum.exceptions import AbelRadiusError, DomainError, NumericError
-from chisum.series import catalog_lookup, combine, load_custom, partial_sums
+from chisum.series import _Constant, catalog_lookup, combine, load_custom, partial_sums
 from chisum.summation import (
     CONVERGED,
     DIVERGING,
     INCONCLUSIVE,
+    _closed_part,
     _exact_sum,
     _fixed_part,
     _fixed_sum,
+    _HALF_LN_2PI,
+    _transient,
+    _transient_log2,
     abel_estimate,
     cesaro_mean,
     chi_limit,
@@ -479,9 +483,24 @@ def series_by_definition(draw, n):
 
 def fixed_point(spec, n):
     """_fixed_sum with the product tree only as its fallback: at small n
-    or large x it would otherwise go to the tree at once."""
+    or large x it would otherwise go to the tree at once.  A constant
+    part past |x| = 1 may go to the closed form first (_closes)."""
     with mock.patch("chisum.summation._TREE_RATIO", 0):
         return _fixed_sum(spec, n)
+
+
+def fixed_only(spec, n):
+    """fixed_point with every part on _fixed_part, the closed form's
+    fallback."""
+    with mock.patch("chisum.summation._closes", lambda *a: False):
+        return fixed_point(spec, n)
+
+
+def closed_form(spec, n):
+    """fixed_point with every constant part past |x| = 1 on the closed
+    form first, at any order."""
+    with mock.patch("chisum.summation._CLOSED_WORK", 0):
+        return fixed_point(spec, n)
 
 
 KERNELS = pytest.mark.parametrize(
@@ -577,12 +596,12 @@ class TestFixedKernel:
     @given(boundary_series(), st.integers(min_value=1, max_value=300))
     @settings(max_examples=150, deadline=None)
     def test_equals_the_product_tree(self, spec, n):
-        self.same(spec, n)
+        self.same(spec, n, fixed_point, fixed_only)
 
     @given(boundary_series(), st.integers(min_value=1000, max_value=2000))
     @settings(max_examples=8, deadline=None)
     def test_equals_the_product_tree_at_large_orders(self, spec, n):
-        self.same(spec, n)
+        self.same(spec, n, fixed_point, fixed_only)
 
     @given(
         st.one_of(
@@ -682,6 +701,132 @@ class TestFixedKernel:
         want = _exact_sum(spec, 2000)
         monkeypatch.setattr("chisum.summation._fixed_part", None)
         assert chi_sum(spec, 2000) == want == 1.0010004994984988e307
+
+
+def past_one():
+    """x in [-4.2, -1) or (1, 4]."""
+    return st.one_of(
+        st.floats(min_value=-4.2, max_value=-1.0, exclude_max=True),
+        st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+    )
+
+
+@st.composite
+def constant_parts(draw):
+    """geometric past |x| = 1, or a combine of one or two of them."""
+    xs = draw(st.lists(past_one(), min_size=1, max_size=2))
+    specs = [catalog_lookup("geometric", x=x) for x in xs]
+    if len(xs) == 1 and draw(st.booleans()):
+        return specs[0]
+    coefs = st.floats(min_value=-1e3, max_value=1e3)
+    return combine(specs, draw(st.lists(coefs, min_size=len(xs), max_size=len(xs))))
+
+
+class TestClosedForm:
+    # _closed_part: S_n = T - R, the boundary transient minus the Kummer
+    # series, for a constant part past |x| = 1.
+    @given(constant_parts(), st.integers(min_value=1, max_value=3000))
+    # Positive x, where T grows with n and sets the unit.
+    @example(catalog_lookup("geometric", x=3.0), 700)
+    @example(catalog_lookup("geometric", x=4.0), 2000)  # overflows
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_product_tree(self, spec, n):
+        TestFixedKernel.same(spec, n, closed_form)
+
+    @given(
+        past_one(),
+        st.sampled_from([(1, 1), (-3, 2), (7, 1), (1, 3 << 60)]),
+        st.integers(min_value=1, max_value=150),
+        st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_part_bound_holds_at_low_precision(self, x, c, n, bits):
+        # As for _fixed_part: at a few bits the floors move A well away
+        # from the exact sum, and T is left out or cut short.
+        a, e, s = _closed_part(x, _Constant(c), n, bits)
+        exact, w = Fraction(0), Fraction(1)
+        for k in range(n + 1):
+            exact += w
+            w *= Fraction(n - k, n) * Fraction(x)
+        exact *= Fraction(*c)
+        assert abs(exact * Fraction(2) ** (bits - s) - a) <= e
+
+    @given(
+        past_one(),
+        st.integers(min_value=1, max_value=3000),
+        st.sampled_from([8, 96, 192, 384]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_transient_within_its_bound(self, x, n, bits):
+        # T = n! (x/n)**n e**(n/x) at the unit _closed_part gives it,
+        # against mpmath's log-gamma.
+        e = max(0, math.ceil(_transient_log2(x, n))) - bits
+        v, err = _transient(x, n, e, bits)
+        with mpmath.workdps(bits // 3 + 60):
+            n_, x_ = mpmath.mpf(n), mpmath.mpf(x)
+            ln_t = mpmath.loggamma(n_ + 1) + n_ * mpmath.log(abs(x_) / n_) + n_ / x_
+            t = mpmath.exp(ln_t - e * mpmath.log(2)) * (-1 if x < 0 and n & 1 else 1)
+            assert abs(t) <= 2**bits
+            assert abs(t - v) <= err
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            (-3.55, 0.21971333386777644),
+            (-3.3, 0.23248966294891435),
+            (-2.0, 0.3332592592647474),
+        ],
+    )
+    def test_settles_without_the_other_kernels(self, monkeypatch, x, want):
+        monkeypatch.setattr("chisum.summation._fixed_part", None)
+        monkeypatch.setattr("chisum.summation._exact_sum", None)
+        assert chi_sum(catalog_lookup("geometric", x=x), 2000) == want
+
+    @staticmethod
+    def trace(monkeypatch, closed=_closed_part):
+        """The kernels _fixed_sum calls, in order, with closed standing in
+        for _closed_part."""
+        calls = []
+        for name, kernel in [
+            ("_closed_part", closed),
+            ("_fixed_part", _fixed_part),
+            ("_exact_sum", _exact_sum),
+        ]:
+            monkeypatch.setattr(
+                f"chisum.summation.{name}",
+                lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a),
+            )
+        return calls
+
+    def test_unsettled_falls_back_to_the_fixed_kernel(self, monkeypatch):
+        # A bound that never settles, on a sum the fixed kernel settles.
+        calls = self.trace(monkeypatch, lambda *a: (0, 1 << 500, a[-1]))
+        spec = catalog_lookup("geometric", x=-3.3)
+        assert chi_sum(spec, 2000) == 0.23248966294891435
+        assert calls == ["_closed_part"] * 3 + ["_fixed_part"]
+
+    def test_zero_sum_falls_back_to_the_tree(self, monkeypatch):
+        # S_n = 0 exactly settles at no precision: three closed passes,
+        # three fixed ones, then the tree.
+        spec = catalog_lookup("geometric", x=-3.0)
+        spec = combine([spec, spec], [1.0, -1.0])
+        calls = self.trace(monkeypatch)
+        assert repr(chi_sum(spec, 2000)) == "0.0"
+        assert calls == ["_closed_part"] * 6 + ["_fixed_part"] * 6 + ["_exact_sum"]
+
+    def test_overflow_falls_back_with_its_message(self, monkeypatch):
+        # Both ends past double range settle at once; the fixed kernel then
+        # raises, as it does for every overflow.
+        calls = self.trace(monkeypatch)
+        message = "^weighted sum overflows at order 2000$"
+        with pytest.raises(NumericError, match=message):
+            chi_sum(catalog_lookup("geometric", x=4.0), 2000)
+        assert calls == ["_closed_part", "_fixed_part"]
+
+    def test_half_ln_2pi_is_within_its_stated_error(self):
+        with mpmath.workdps(140):
+            off = mpmath.mpf(str(_HALF_LN_2PI)) - mpmath.log(2 * mpmath.pi) / 2
+            assert abs(off) < mpmath.mpf(10) ** -120
 
 
 class TestOneKernel:

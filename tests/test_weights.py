@@ -222,3 +222,8 @@ class TestExpApproxGap:
             exp_approx_gap(0, 100)
         with pytest.raises(DomainError):
             exp_approx_gap(5, 1)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10", None])
+    def test_order_that_is_not_an_integer(self, n):
+        with pytest.raises(DomainError, match="^n must be an integer"):
+            exp_approx_gap(n, 10)
