@@ -30,7 +30,6 @@ from .series import (
     partial_sums,
 )
 from .special import (
-    EULER_GAMMA,
     BernoulliTable,
     bernoulli_gen_fn,
     bernoulli_numbers,

@@ -231,10 +231,13 @@ def _cmd_weights(args) -> dict:
 def _cmd_error(args) -> dict:
     spec = _resolve_series(args)
     if spec.second_derivative is None or spec.x is None:
-        raise DomainError(
-            f"series {args.series!r} carries no closed-form second "
-            "derivative; the predictor is unavailable"
-        )
+        # geometric and log1p_taylor carry f'' in closed form, and lack it
+        # only where it is not finite: at the pole, or past double range.
+        if spec.name in ("geometric", "log1p_taylor"):
+            why = f"has no finite second derivative at x = {spec.x!r}"
+        else:
+            why = "carries no closed-form second derivative"
+        raise DomainError(f"series {args.series!r} {why}; the predictor is unavailable")
     result = chi_sweep(spec, (args.n,))
     err = result.error
     results = {

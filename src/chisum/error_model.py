@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exceptions import DomainError, NumericError
+from .exceptions import DomainError, NumericError, _order
 
 __all__ = ["ErrorEstimate", "RateFit", "predicted_error", "observed_error", "rate_fit"]
 
@@ -54,10 +54,9 @@ class RateFit:
 
 
 def predicted_error(f2_at_x: float, x: float, x0: float, n: int) -> float:
-    """Leading asymptotic error f''(x) * (x - x0)^2 / (2n)."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    return f2_at_x * (x - x0) ** 2 / (2.0 * n)
+    """Leading asymptotic error f''(x) * (x - x0)^2 / (2n).  A non-integer
+    n, or n < 1, raises DomainError."""
+    return f2_at_x * (x - x0) ** 2 / (2.0 * _order(n))
 
 
 def observed_error(approximant: float, exact: float) -> float:

@@ -18,7 +18,6 @@ from .exceptions import DomainError, NumericError, _order
 
 __all__ = [
     "BernoulliTable",
-    "EULER_GAMMA",
     "bernoulli_numbers",
     "harmonic",
     "harmonic_numbers",
@@ -26,9 +25,6 @@ __all__ = [
     "bernoulli_gen_fn",
     "solve_kappa",
 ]
-
-#: Euler-Mascheroni constant, rounded to double precision.
-EULER_GAMMA = 0.5772156649015329
 
 # Beyond index 60 the Bernoulli numbers grow past what double precision
 # can represent with useful relative accuracy.

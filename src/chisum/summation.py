@@ -32,12 +32,14 @@ a series whose ratios stay below 1/|x| (_closed_part).  R takes about
 96 / log2|x| integer steps of about 96 bits, in place of the fixed
 kernel's n steps on P bits, and T is computed, from Stirling's series
 in decimal, only when it is not below the last of those bits.  Such a
-part goes to the closed form first when T is negligible or the fixed
-kernel's work is past a measured crossover (_closes); the same Ziv test
-settles it, and a sum it does not settle, or that leaves double range,
-takes the fixed kernel and then the tree.  At n = 2000, geometric
-x = -2 takes about 30 us against 0.7 ms in fixed point, and x = -3.55
-about 0.09 ms against 1.6 ms (2 CPUs, Python 3.11).
+part takes the closed form in place of the fixed kernel when T is
+negligible or the fixed kernel's work is past a measured crossover
+(_kernel).  Every kernel gives its part as an integer within a proven
+bound at a power-of-two unit, so one Ziv test settles the sum over all
+the parts, whichever kernels made them; a sum it does not settle goes
+to the tree.  At n = 2000, geometric x = -2 takes about 30 us against
+0.7 ms in fixed point, and x = -3.55 about 0.09 ms against 1.6 ms
+(2 CPUs, Python 3.11).
 
 A series without a rational form (alt_log, alt_harmonic_numbers,
 bernoulli_power, and any combine that includes one of them) is read in
@@ -219,9 +221,9 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
     return 64 + 2 * n.bit_length() + math.ceil(log_w + extra)
 
 
-def _fixed_part(x: float, c, top, end, n: int, bits: int) -> tuple[int, int, int]:
-    """(A, E, s) for one part (x, c, top, end) at precision P = bits: its
-    sum lies within E * 2**(s - P) of A * 2**(s - P).
+def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
+    """(A, E, e) for one part (x, c, top, end) at precision P = bits: its
+    sum lies in [(A - E) * 2**e, (A + E) * 2**e].
 
     With x = p/q (q a power of two), the weight 2**P * (n)_k |x|**k / n**k
     runs as t_0 = 2**P and t_k = floor(t_{k-1} * r_k), with the ratio
@@ -230,9 +232,9 @@ def _fixed_part(x: float, c, top, end, n: int, bits: int) -> tuple[int, int, int
     tuple, as series._Constant is) is read once: the loop adds +-t_k,
     and each signed sum is multiplied by |num| and floored by den at the
     end.  While the weights grow (the first k* ratios are >= 1) a t_k
-    past P + _RENORM bits is cut back to P bits, and the sums with it, s
-    counting the bits cut; from k* on the weights only fall and no cut
-    happens.
+    past P + _RENORM bits is cut back to P bits, and the sums with it, so
+    the unit is 2**e with e the bits cut less P; from k* on the weights
+    only fall and no cut happens.
 
     The loop stops at min(end, n + 1), from which every coefficient is
     zero or past the sum, or at the first t_k that is 0, after which
@@ -252,6 +254,7 @@ def _fixed_part(x: float, c, top, end, n: int, bits: int) -> tuple[int, int, int
     the computed one plus E, which gives E <= 2 rho * (computed sum) + 2 R
     for rho <= 1/2.
     """
+    x, c, top, end = part
     p, q = x.as_integer_ratio()
     shift = q.bit_length() - 1
     ap = abs(p)
@@ -293,7 +296,7 @@ def _fixed_part(x: float, c, top, end, n: int, bits: int) -> tuple[int, int, int
     m = max(0, end - 1 - peak)
     rest = math.ceil(top) * (m * (m + 1) // 2 + 2 * cuts) + n + 1
     err = (peak * (pos + neg) >> (bits - 2)) + 1 + 2 * rest
-    return pos - neg, err, cut
+    return pos - neg, err, cut - bits
 
 
 def _transient_log2(x: float, n: int) -> float:
@@ -353,10 +356,10 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     return (-v if x < 0 and n & 1 else v), 2
 
 
-def _closed_part(x: float, c, n: int, bits: int) -> tuple[int, int, int]:
-    """(A, E, s) for one part (x, c, _, math.inf) with a constant c and
-    |x| > 1, as _fixed_part returns them: its sum lies within
-    E * 2**(s - P) of A * 2**(s - P), P = bits.
+def _closed_part(part, n: int, bits: int) -> tuple[int, int, int]:
+    """(A, E, e) for one part (x, c, _, math.inf) with a constant c and
+    |x| > 1 at precision P = bits, as _fixed_part returns them: its sum
+    lies in [(A - E) * 2**e, (A + E) * 2**e].
 
     With j = n - k the part is c S_n, S_n = n! (x/n)**n
     sum_{j<=n} (n/x)**j / j!: a truncated exponential, so
@@ -381,7 +384,7 @@ def _closed_part(x: float, c, n: int, bits: int) -> tuple[int, int, int]:
     floor((T - R) num / (den 2**k)) at the unit 2**(e+k), and E the error
     of T - R scaled the same way, rounded up, plus one for A's floor.
     """
-    num, den = c
+    x, (num, den), _, _ = part
     p, q = x.as_integer_ratio()
     nq, ap, odd = n * q, abs(p), 1 if p < 0 else 0  # odd: z**i flips sign
     bound = _transient_log2(x, n)
@@ -400,28 +403,31 @@ def _closed_part(x: float, c, n: int, bits: int) -> tuple[int, int, int]:
     k = abs(num).bit_length() - den.bit_length()
     up, down = max(0, -k), max(0, k)
     a = ((t - r) * num << up) // (den << down)
-    return a, ((err + et) * abs(num) << up) // (den << down) + 2, e + k + bits
+    return a, ((err + et) * abs(num) << up) // (den << down) + 2, e + k
 
 
-def _closes(x: float, c, end, n: int, work: int) -> bool:
-    """Whether _fixed_sum sends the part (x, c, _, end) to the closed form
-    first, with work = n * P the fixed kernel's (_CLOSED_WORK)."""
-    return (
+def _kernel(part, n: int, bits: int) -> tuple:
+    """(kernel, part, P): the kernel _fixed_sum sums part with, and its
+    starting precision.  A constant part past |x| = 1 takes _closed_part
+    at _CLOSED_BITS when its transient is below 2**-_CLOSED_BITS or the
+    fixed kernel's work n * bits reaches _CLOSED_WORK; any other takes
+    _fixed_part at bits."""
+    x, c, _, end = part
+    if (
         isinstance(c, _Constant)
         and end == math.inf
         and abs(x) > 1.0
-        and (work >= _CLOSED_WORK or _transient_log2(x, n) < -_CLOSED_BITS)
-    )
+        and (n * bits >= _CLOSED_WORK or _transient_log2(x, n) < -_CLOSED_BITS)
+    ):
+        return _closed_part, part, _CLOSED_BITS
+    return _fixed_part, part, bits
 
 
 def _settle(parts: list, n: int) -> Optional[float]:
-    """The double that S_n rounds to, from the sums (kernel, args, P) of
+    """The double that S_n rounds to, from the sums (kernel, part, P) of
     parts at P, 2P and 4P (Ziv's strategy), or None if no pass settles."""
     for d in range(3):
-        sums = []  # (A, E, the exponent of their unit)
-        for kernel, args, p in parts:
-            a, err, s = kernel(*args, n, p << d)
-            sums.append((a, err, s - (p << d)))
+        sums = [kernel(part, n, p << d) for kernel, part, p in parts]
         low = min(e for _, _, e in sums)
         total = sum(a << (e - low) for a, _, e in sums)
         err = sum(err << (e - low) for _, err, e in sums)
@@ -439,37 +445,27 @@ def _fixed_sum(spec: SeriesSpec, n: int) -> float:
     integers; elsewhere (_TREE_RATIO: x large, or n small; a top past
     double range) it calls _exact_sum at once.
 
-    Each part's sum lies within a proven bound of a scaled integer
-    (_fixed_part, or _closed_part for a constant part past |x| = 1 that
-    _closes picks); the parts are put on the finest of their scales, so
-    the exact S_n lies in [(A - E) * 2**e, (A + E) * 2**e].  Rounding is
-    monotone and rounded is correct, so when both ends round to the same
-    double, S_n rounds to it too (Ziv's strategy, _settle).  Each
-    kernel's precision starts at its own (_fixed_bits, _CLOSED_BITS) and
-    doubles at most twice.  When a closed part is among them and the sum
-    does not settle, or settles past double range, every part goes to
-    _fixed_part; a sum still unsettled, such as an exact midpoint or a
-    zero sum, which never settle, goes to _exact_sum.  Both ends past
-    double range raise NumericError, as _exact_sum does.
+    Each part's sum lies within a proven bound of a scaled integer, from
+    the one kernel _kernel picks for it (_fixed_part, or _closed_part for
+    a constant part past |x| = 1); the parts are put on the finest of
+    their scales, so the exact S_n lies in [(A - E) * 2**e, (A + E) * 2**e].
+    Rounding is monotone and rounded is correct, so when both ends round
+    to the same double, S_n rounds to it too (Ziv's strategy, _settle).
+    Each kernel's precision starts at its own (_fixed_bits, _CLOSED_BITS)
+    and doubles at most twice.  A sum that settles past double range
+    raises NumericError at once, as _exact_sum does, since the proven
+    bound already decides it; a sum that does not settle, such as an
+    exact midpoint or a zero sum, goes to _exact_sum.
     """
-    if any(top == math.inf for _, _, top, _ in spec.rational):
-        return _exact_sum(spec, n)
-    bits = _fixed_bits(spec, n)
-    step = n.bit_length() + max(
-        sum(i.bit_length() for i in x.as_integer_ratio()) for x, *_ in spec.rational
-    )
-    if _TREE_RATIO * bits > n * step:
-        return _exact_sum(spec, n)
-    fixed = [(_fixed_part, part, bits) for part in spec.rational]
-    closed = [
-        (_closed_part, (x, c), _CLOSED_BITS) if _closes(x, c, end, n, n * bits) else f
-        for (x, c, _, end), f in zip(spec.rational, fixed)
-    ]
-    if closed != fixed:
-        value = _settle(closed, n)
-        if value is not None and not math.isinf(value):
-            return value
-    value = _settle(fixed, n)
+    value = None
+    if all(top < math.inf for _, _, top, _ in spec.rational):
+        bits = _fixed_bits(spec, n)
+        step = n.bit_length() + max(
+            sum(i.bit_length() for i in x.as_integer_ratio())
+            for x, *_ in spec.rational
+        )
+        if _TREE_RATIO * bits <= n * step:
+            value = _settle([_kernel(part, n, bits) for part in spec.rational], n)
     if value is None:
         return _exact_sum(spec, n)
     if math.isinf(value):

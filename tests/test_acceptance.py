@@ -11,9 +11,12 @@ import time
 
 from chisum.error_model import observed_error, predicted_error, rate_fit
 from chisum.series import catalog_lookup, combine
-from chisum.special import EULER_GAMMA, bernoulli_gen_fn, solve_kappa
+from chisum.special import bernoulli_gen_fn, solve_kappa
 from chisum.summation import chi_limit, chi_sum, chi_sweep
 from chisum.weights import averaging_row, chi_row, exp_approx_gap
+
+# The Euler-Mascheroni constant, rounded to double precision.
+EULER_GAMMA = 0.5772156649015329
 
 
 def _report(num: int, label: str, failures: list) -> None:

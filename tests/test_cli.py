@@ -396,6 +396,33 @@ class TestErrorCommand:
         code, _ = run_cli("error", "--series", "alt_log", "--n", "40")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # f'' = 2 / (1 - x)**3 leaves double range at this x.
+            (
+                ("--series", "geometric", "--x", "1e300"),
+                "series 'geometric' has no finite second derivative at x = 1e+300",
+            ),
+            # The pole of log(1 + x).
+            (
+                ("--series", "log1p_taylor", "--x", "-1"),
+                "series 'log1p_taylor' has no finite second derivative at x = -1.0",
+            ),
+            # An x, but no f'' carried at any x.
+            (
+                ("--series", "bernoulli_power", "--x", "0.5"),
+                "series 'bernoulli_power' carries no closed-form second derivative",
+            ),
+        ],
+        ids=["geometric-overflow", "log1p-pole", "bernoulli_power"],
+    )
+    def test_unavailable_predictor_says_why(self, capsys, argv, message):
+        code, _ = run_cli("error", *argv, "--n", "3")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {message}; the predictor is unavailable\n"
+
     def test_matches_sum_near_boundary(self):
         # Double precision cancels here (terms near 1e80, result 0.22);
         # error and sum share the escalating evaluation.

@@ -15,8 +15,11 @@ from chisum.series import (
     load_custom,
     partial_sums,
 )
-from chisum.special import EULER_GAMMA, harmonic
+from chisum.special import harmonic
 from chisum.summation import euler_transform
+
+# The Euler-Mascheroni constant, rounded to double precision.
+EULER_GAMMA = 0.5772156649015329
 
 
 def head(spec, n):

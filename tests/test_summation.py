@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chisum
+from chisum.error_model import predicted_error
 from chisum.exceptions import AbelRadiusError, DomainError, NumericError
 from chisum.series import _Constant, catalog_lookup, combine, load_custom, partial_sums
 from chisum.summation import (
@@ -484,21 +485,22 @@ def series_by_definition(draw, n):
 def fixed_point(spec, n):
     """_fixed_sum with the product tree only as its fallback: at small n
     or large x it would otherwise go to the tree at once.  A constant
-    part past |x| = 1 may go to the closed form first (_closes)."""
+    part past |x| = 1 may take the closed form (_kernel)."""
     with mock.patch("chisum.summation._TREE_RATIO", 0):
         return _fixed_sum(spec, n)
 
 
 def fixed_only(spec, n):
-    """fixed_point with every part on _fixed_part, the closed form's
-    fallback."""
-    with mock.patch("chisum.summation._closes", lambda *a: False):
+    """fixed_point with every part on _fixed_part."""
+    with mock.patch(
+        "chisum.summation._kernel", lambda part, n, bits: (_fixed_part, part, bits)
+    ):
         return fixed_point(spec, n)
 
 
 def closed_form(spec, n):
     """fixed_point with every constant part past |x| = 1 on the closed
-    form first, at any order."""
+    form, at any order."""
     with mock.patch("chisum.summation._CLOSED_WORK", 0):
         return fixed_point(spec, n)
 
@@ -625,12 +627,12 @@ class TestFixedKernel:
         # this checks the error bound itself, not only a rounded result.
         bits = n.bit_length() + 2 + extra
         ((x, c, top, end),) = spec.rational
-        a, e, s = _fixed_part(x, c, top, end, n, bits)
+        a, err, e = _fixed_part((x, c, top, end), n, bits)
         exact, w = Fraction(0), Fraction(1)
         for k in range(n + 1):
             exact += Fraction(*c(k)) * w
             w *= Fraction(n - k, n) * Fraction(x)
-        assert abs(exact * Fraction(2) ** (bits - s) - a) <= e
+        assert abs(exact * Fraction(2) ** -e - a) <= err
 
     @pytest.mark.parametrize(
         "name, x, n, want",
@@ -743,13 +745,14 @@ class TestClosedForm:
     def test_part_bound_holds_at_low_precision(self, x, c, n, bits):
         # As for _fixed_part: at a few bits the floors move A well away
         # from the exact sum, and T is left out or cut short.
-        a, e, s = _closed_part(x, _Constant(c), n, bits)
+        part = (x, _Constant(c), abs(c[0] / c[1]), math.inf)
+        a, err, e = _closed_part(part, n, bits)
         exact, w = Fraction(0), Fraction(1)
         for k in range(n + 1):
             exact += w
             w *= Fraction(n - k, n) * Fraction(x)
         exact *= Fraction(*c)
-        assert abs(exact * Fraction(2) ** (bits - s) - a) <= e
+        assert abs(exact * Fraction(2) ** -e - a) <= err
 
     @given(
         past_one(),
@@ -798,30 +801,32 @@ class TestClosedForm:
             )
         return calls
 
-    def test_unsettled_falls_back_to_the_fixed_kernel(self, monkeypatch):
-        # A bound that never settles, on a sum the fixed kernel settles.
-        calls = self.trace(monkeypatch, lambda *a: (0, 1 << 500, a[-1]))
+    def test_unsettled_goes_to_the_tree(self, monkeypatch):
+        # A bound that never settles: three closed passes, then the tree,
+        # with no pass of the fixed kernel.
+        calls = self.trace(monkeypatch, lambda *a: (0, 1 << 500, 0))
         spec = catalog_lookup("geometric", x=-3.3)
         assert chi_sum(spec, 2000) == 0.23248966294891435
-        assert calls == ["_closed_part"] * 3 + ["_fixed_part"]
+        assert calls == ["_closed_part"] * 3 + ["_exact_sum"]
 
-    def test_zero_sum_falls_back_to_the_tree(self, monkeypatch):
-        # S_n = 0 exactly settles at no precision: three closed passes,
-        # three fixed ones, then the tree.
+    def test_zero_sum_goes_to_the_tree(self, monkeypatch):
+        # S_n = 0 exactly settles at no precision: three closed passes over
+        # both parts, then the tree.
         spec = catalog_lookup("geometric", x=-3.0)
         spec = combine([spec, spec], [1.0, -1.0])
         calls = self.trace(monkeypatch)
         assert repr(chi_sum(spec, 2000)) == "0.0"
-        assert calls == ["_closed_part"] * 6 + ["_fixed_part"] * 6 + ["_exact_sum"]
+        assert calls == ["_closed_part"] * 6 + ["_exact_sum"]
 
-    def test_overflow_falls_back_with_its_message(self, monkeypatch):
-        # Both ends past double range settle at once; the fixed kernel then
-        # raises, as it does for every overflow.
+    @pytest.mark.parametrize("x", [4.0, -5.0])
+    def test_overflow_raises_after_one_closed_pass(self, monkeypatch, x):
+        # Both ends past double range settle at once, which decides the
+        # overflow: no other kernel runs.
         calls = self.trace(monkeypatch)
         message = "^weighted sum overflows at order 2000$"
         with pytest.raises(NumericError, match=message):
-            chi_sum(catalog_lookup("geometric", x=4.0), 2000)
-        assert calls == ["_closed_part", "_fixed_part"]
+            chi_sum(catalog_lookup("geometric", x=x), 2000)
+        assert calls == ["_closed_part"]
 
     def test_half_ln_2pi_is_within_its_stated_error(self):
         with mpmath.workdps(140):
@@ -1008,6 +1013,7 @@ class TestSweepAndClassification:
             (averaging_row, 1),
             (bernoulli_numbers, 0),
             (harmonic, 1),
+            (partial(predicted_error, 1.0, 0.5, 0.0), 1),
         ]
         for method, least in methods:
             for order in (100.5, "3", None):
