@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -31,7 +32,7 @@ import numpy  # noqa: F401
 from .error_model import observed_error, predicted_error  # noqa: F401
 from .exceptions import DomainError, SeriesFormatError
 from .series import CATALOG_NAMES, catalog_lookup, load_custom
-from .special import bernoulli_gen_fn, solve_kappa
+from .special import solve_kappa
 from .summation import (
     abel_estimate,
     cesaro_mean,
@@ -181,13 +182,9 @@ def _cmd_table(args) -> dict:
     n_list = _parse_list(args.n_list, int) if args.n_list else _TABLE_DEFAULT_N
     x_list = _parse_list(args.x_list, float) if args.x_list else _TABLE_DEFAULT_X
     header = ["n"] + [f"x={x:g}" for x in x_list]
-    data = []
-    for n in n_list:
-        row = [n]
-        for x in x_list:
-            row.append(chi_sum(catalog_lookup("bernoulli_power", x=x), n))
-        data.append(row)
-    data.append(["exact"] + [bernoulli_gen_fn(x) for x in x_list])
+    specs = [catalog_lookup("bernoulli_power", x=x) for x in x_list]
+    data = [[n] + [chi_sum(spec, n) for spec in specs] for n in n_list]
+    data.append(["exact"] + [spec.exact_value for spec in specs])
     return {
         "command": "table",
         "inputs": {"n_list": list(n_list), "x_list": list(x_list)},
@@ -208,16 +205,10 @@ def _cmd_kappa(args) -> dict:
 def _cmd_weights(args) -> dict:
     w = chi_row(args.n)
     avg = averaging_row(args.n)
-    diag = verify_toeplitz(avg)
     return {
         "command": "weights",
         "inputs": {"n": args.n},
-        "results": {
-            "abs_row_sum": diag.abs_row_sum,
-            "row_sum": diag.row_sum,
-            "max_entry": diag.max_entry,
-            "nonnegative": diag.nonnegative,
-        },
+        "results": dataclasses.asdict(verify_toeplitz(avg)),
         "rows": {
             "header": ["k", "chi", "averaging"],
             # Both rows end where the weights underflow; the weights of

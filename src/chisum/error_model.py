@@ -26,23 +26,17 @@ __all__ = ["ErrorEstimate", "RateFit", "predicted_error", "observed_error", "rat
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Predicted leading error, optionally paired with the observed one.
-
-    ratio is observed/predicted and is present exactly when observed is
-    present and predicted is nonzero.
-    """
+    """Predicted leading error, optionally paired with the observed one."""
 
     predicted: float
     observed: Optional[float] = None
-    ratio: Optional[float] = None
 
-    def __post_init__(self):
-        should_have_ratio = self.observed is not None and self.predicted != 0.0
-        if should_have_ratio != (self.ratio is not None):
-            raise DomainError(
-                "ratio must be present exactly when observed is present "
-                "and predicted is nonzero"
-            )
+    @property
+    def ratio(self) -> Optional[float]:
+        """observed / predicted; None without observed, or where predicted is 0."""
+        if self.observed is None or self.predicted == 0.0:
+            return None
+        return self.observed / self.predicted
 
 
 @dataclass(frozen=True)

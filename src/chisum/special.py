@@ -1,8 +1,7 @@
 """Special-function kernel: Bernoulli numbers, harmonic numbers (one at a
 time, or as an O(1)-per-term stream), trigamma, the Euler-Maclaurin
-generating function h, the Euler-Mascheroni constant, the boundary
-constant kappa, the rounding of every exact sum (rounded, rounded_dot)
-and of every double sum (rounded_mean).
+generating function h, the boundary constant kappa, the rounding of every
+exact sum (rounded, rounded_dot) and of every double sum (rounded_mean).
 """
 
 from __future__ import annotations
@@ -127,17 +126,14 @@ def rounded_mean(values: Sequence[float], norm: float = 1.0) -> float:
         return rounded_dot(values, repeat(q), p)
 
 
-# Even-index Bernoulli numbers B_2..B_10 for the trigamma tail; these are
-# convention-independent.
-_TRIGAMMA_TAIL = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
 _TRIGAMMA_SWITCH = 10.0
 
 
 def trigamma(z: float) -> float:
     """Trigamma function (second derivative of log-gamma) for z > 0.
 
-    Upward recurrence until z >= 10, then the asymptotic tail with five
-    even-index Bernoulli terms; relative error is at the 1e-13 level.
+    Upward recurrence until z >= 10, then the asymptotic tail with the
+    Bernoulli terms B_2..B_10; relative error is at the 1e-13 level.
     """
     if not z > 0.0:
         raise DomainError(f"trigamma needs z > 0, got {z}")
@@ -148,7 +144,7 @@ def trigamma(z: float) -> float:
     s = 1.0 / z + 1.0 / (2.0 * z * z)
     z2 = z * z
     p = z * z2
-    for b in _TRIGAMMA_TAIL:
+    for b in _bernoulli()[1][2:11:2]:
         s += b / p
         p *= z2
     return acc + s

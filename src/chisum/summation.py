@@ -643,12 +643,10 @@ def chi_sweep(
         # Every catalog, custom and combined series is a power series
         # about 0, so that is the base point.
         predicted = predicted_error(spec.second_derivative, spec.x, 0.0, grid[-1])
-        observed = ratio = None
+        observed = None
         if spec.exact_value is not None:
             observed = observed_error(approx[-1], spec.exact_value)
-            if predicted != 0.0:
-                ratio = observed / predicted
-        error = ErrorEstimate(predicted=predicted, observed=observed, ratio=ratio)
+        error = ErrorEstimate(predicted=predicted, observed=observed)
 
     return ChiResult(
         n_grid=grid,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exceptions import DomainError, _order
+from .exceptions import _order
 
 __all__ = [
     "ToeplitzDiagnostics",
@@ -50,9 +50,6 @@ class ToeplitzDiagnostics:
     nonnegative: bool
 
 
-# Cached for calls that repeat an order, as bernoulli_power at several x
-# does; a sweep's orders rarely recur.  lru_cache is safe for readers.
-@lru_cache(maxsize=64)
 def chi_row(n: int) -> tuple[float, ...]:
     """Head of the weight row at order n: the tuple w[0], w[1], ... while
     the weights stay at or above sys.float_info.min; w[k] weights term k,
@@ -64,7 +61,15 @@ def chi_row(n: int) -> tuple[float, ...]:
     on; every weight past it counts as zero (see the module docstring).
     A non-integer n, or n < 1, raises DomainError.
     """
-    n = _order(n)
+    return _row(_order(n))
+
+
+# Cached for calls that repeat an order, as bernoulli_power at several x
+# does; a sweep's orders rarely recur.  lru_cache is safe for readers.
+# chi_row checks the order before the cache hashes it, so an unhashable
+# order raises DomainError, not TypeError.
+@lru_cache(maxsize=64)
+def _row(n: int) -> tuple[float, ...]:
     w = [1.0]
     for k in range(1, n + 1):
         wk = w[-1] * (1.0 - (k - 1) / n)
@@ -72,6 +77,11 @@ def chi_row(n: int) -> tuple[float, ...]:
             break
         w.append(wk)
     return tuple(w)
+
+
+# bench/run.py reads and resets the cache through chi_row, to measure how
+# often a row is reused, so both methods stay bound on it.
+chi_row.cache_info, chi_row.cache_clear = _row.cache_info, _row.cache_clear
 
 
 def averaging_row(n: int) -> tuple[float, ...]:
@@ -99,11 +109,11 @@ def exp_approx_gap(n: int, samples: int) -> float:
     """Max of |(1 - x/n)^n - exp(-x)| over a uniform grid on [0, n].
 
     The analytic bound is 1/(e*n); callers assert the returned gap stays
-    below it.  A non-integer n, or n < 1, raises DomainError.
+    below it.  A non-integer n or samples, n < 1, or samples < 2, raises
+    DomainError.
     """
     n = _order(n)
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
+    samples = _order(samples, 2, "samples")
     gap = 0.0
     for i in range(samples):
         x = n * i / (samples - 1)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 import chisum
 from chisum.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from chisum.series import CATALOG_NAMES
+from chisum.special import bernoulli_gen_fn
+from chisum.weights import averaging_row, verify_toeplitz
 
 
 def run_cli(*argv):
@@ -337,6 +340,14 @@ class TestTableCommand:
         for row in doc["rows"]["data"]:
             assert row[1:][ix0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_exact_row_is_the_generating_function(self):
+        xs = (-1.0, -0.7, 1e-310, 0.2, 0.5, 1.0)
+        x_list = "--x-list=" + ",".join(map(repr, xs))  # "=" lets it start with "-"
+        doc = run_json("table", x_list, "--n-list", "20")
+        exact = doc["rows"]["data"][-1]
+        assert exact[0] == "exact"
+        assert exact[1:] == [bernoulli_gen_fn(x) for x in xs]
+
     def test_exact_row_near_zero(self):
         code, text = run_cli(
             "--format", "csv", "table", "--x-list", "1e-310,0.5", "--n-list", "20"
@@ -367,6 +378,11 @@ class TestWeightsCommand:
         assert [r[1] for r in data] == [1.0, 1.0, 0.5]
         assert [r[2] for r in data] == [0.0, 0.5, 0.5]
         assert doc["results"]["row_sum"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 1000])
+    def test_results_are_the_toeplitz_diagnostics(self, n):
+        doc = run_json("weights", "--n", str(n))
+        assert doc["results"] == asdict(verify_toeplitz(averaging_row(n)))
 
     def test_n1(self):
         doc = run_json("weights", "--n", "1")

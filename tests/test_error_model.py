@@ -84,16 +84,15 @@ class TestSignAndRatio:
 
 
 class TestErrorEstimate:
-    def test_ratio_requires_observed(self):
-        with pytest.raises(DomainError):
-            ErrorEstimate(predicted=1.0, observed=None, ratio=2.0)
+    def test_ratio_is_observed_over_predicted(self):
+        e = ErrorEstimate(predicted=0.3, observed=0.5)
+        assert e.ratio == 0.5 / 0.3
 
-    def test_ratio_required_when_observed(self):
-        with pytest.raises(DomainError):
-            ErrorEstimate(predicted=1.0, observed=0.5, ratio=None)
+    def test_no_ratio_without_observed(self):
+        assert ErrorEstimate(predicted=1.0).ratio is None
 
     def test_zero_predicted_has_no_ratio(self):
-        e = ErrorEstimate(predicted=0.0, observed=0.5, ratio=None)
+        e = ErrorEstimate(predicted=0.0, observed=0.5)
         assert e.ratio is None
 
 

@@ -41,7 +41,7 @@ from chisum.summation import (
     richardson_accelerate,
 )
 from chisum.special import bernoulli_numbers, harmonic
-from chisum.weights import averaging_row, chi_row
+from chisum.weights import averaging_row, chi_row, exp_approx_gap
 
 
 def coefficient_series(coeffs):
@@ -998,7 +998,8 @@ class TestSweepAndClassification:
     @pytest.mark.parametrize("name", ["geometric", "alt_log"])
     def test_an_order_that_is_not_an_integer_raises(self, name):
         # A float order is refused, not truncated (99.9 to 99), by every
-        # function that takes an order, and so is one below its least.
+        # function that takes an order, and so are an unhashable order and
+        # one below its least.
         spec = catalog_lookup(name, x=-2.0)
         with pytest.raises(DomainError, match="integer"):
             chi_sweep(spec, [99.9, 200.5, 400.7])
@@ -1014,9 +1015,10 @@ class TestSweepAndClassification:
             (bernoulli_numbers, 0),
             (harmonic, 1),
             (partial(predicted_error, 1.0, 0.5, 0.0), 1),
+            (partial(exp_approx_gap, 10), 2),
         ]
         for method, least in methods:
-            for order in (100.5, "3", None):
+            for order in (100.5, "3", None, [3]):
                 with pytest.raises(DomainError, match="integer"):
                     method(order)
             with pytest.raises(DomainError, match=f">= {least}, got {least - 1}$"):
