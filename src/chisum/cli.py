@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -50,6 +51,11 @@ EXIT_NUMERIC = 4
 _TABLE_DEFAULT_N = (20, 25, 30)
 _TABLE_DEFAULT_X = (-1.0, -0.7, -0.2, 0.0, 0.2, 0.7, 1.0)
 _ABEL_DEFAULT_RADII = (0.9, 0.99, 0.999)
+
+# Options whose value may start with a minus sign.  argparse takes a value
+# such as -1e-3 or -1,0.5 for an option, since only a plain negative
+# number passes its test, so _signed_values joins it to its option.
+_SIGNED = ("--x", "--x-list", "--n-list", "--n-grid")
 
 # Classical methods for --compare, each evaluated at the last grid order.
 # The lambdas look the functions up when called, so wrappers installed on
@@ -122,6 +128,19 @@ def _parse_list(text: str, kind: type) -> tuple:
     except ValueError as exc:
         what = "integer" if kind is int else "number"
         raise DomainError(f"bad {what} list {text!r}") from exc
+
+
+def _signed_values(argv: Sequence[str]) -> list[str]:
+    """argv with each _SIGNED option followed by a minus sign and a digit
+    or point written as one OPTION=VALUE argument; every other argument
+    is left for argparse to read, or to reject, as it stands."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _resolve_series(args):
@@ -316,7 +335,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _signed_values(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
@@ -336,3 +357,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

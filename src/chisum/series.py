@@ -54,7 +54,9 @@ class SeriesSpec:
     float at least every |c(k)|, and c(k) = 0 from order end on (end is
     math.inf when the coefficients never end, 0 for an all-zero part), so
     terms can be bounded without reading them.  A constant c is a
-    _Constant, which the summation kernel reads once, not per term.
+    _Constant, which the summation kernel reads once, not per term, and
+    c(k) = c/k (0 at k = 0) is a _Reciprocal, which it can sum from c
+    alone.
     """
 
     name: str
@@ -76,6 +78,17 @@ class _Constant(tuple):
 
     def __call__(self, k: int) -> _Constant:
         return self
+
+
+class _Reciprocal(tuple):
+    """A coefficient c/k for k >= 1, 0 at k = 0, held as the pair
+    (numerator, denominator) of c, and the function k -> pair of a
+    rational part."""
+
+    __slots__ = ()
+
+    def __call__(self, k: int) -> tuple[int, int]:
+        return (self[0], self[1] * k) if k else (0, 1)
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
@@ -145,10 +158,8 @@ def _log1p_taylor(x: float) -> SeriesSpec:
             _unless_overflow(lambda: -1.0 / (1.0 + x) ** 2) if x != -1.0 else None
         ),
         x=x,
-        # |c(k)| = 1/k <= 1.
-        rational=(
-            (x, lambda k: (1 if k & 1 else -1, k) if k else (0, 1), 1.0, math.inf),
-        ),
+        # a_k = -(-x)**k / k, and |c(k)| = 1/k <= 1.
+        rational=((-x, _Reciprocal((-1, 1)), 1.0, math.inf),),
     )
 
 
@@ -359,9 +370,10 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
         rational = tuple(
             (
                 x,
-                # c * part(k): numerators and denominators multiplied.
-                _Constant(map(mul, c.as_integer_ratio(), part))
-                if isinstance(part, _Constant)
+                # c * part(k): numerators and denominators multiplied;
+                # a _Constant or _Reciprocal scales its own pair.
+                type(part)(map(mul, c.as_integer_ratio(), part))
+                if isinstance(part, tuple)
                 else lambda k, f=c.as_integer_ratio(), part=part: (
                     tuple(map(mul, f, part(k)))
                 ),

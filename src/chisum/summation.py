@@ -41,6 +41,21 @@ to the tree.  At n = 2000, geometric x = -2 takes about 30 us against
 0.7 ms in fixed point, and x = -3.55 about 0.09 ms against 1.6 ms
 (2 CPUs, Python 3.11).
 
+A part whose coefficient is c/k (log1p_taylor, a_k = -(-x)**k / k, and
+combine scalings of it) rests on the geometric approximants instead:
+since (n)_k / k = C(n, k) (k-1)!, its sum is c h sum_{m<n} G_m with
+h = y/n and G_m = S_m(y m / n), the geometric approximant, which obeys
+G_0 = 1 and G_m = 1 + m h G_(m-1) (_reciprocal_part).  That step
+multiplies an error by m |h|, so it is run forward only while
+m |h| <= 1, and backward, G_(m-1) = (G_m - 1) / (m h), from G_n, the
+closed form's S_n(y), where m |h| > 1 divides it (Miller's idea; Gautschi,
+SIAM Review 9, 1967).  Each step then adds at most one unit of error:
+the G_m are off by at most m0 (m0+1)/2 + b E_n + b (b+1)/2 units in all,
+m0 forward steps, b backward ones and E_n the closed form's bound.  So
+n steps on integers of about 64 + 2 log2(n) bits replace the fixed
+kernel's n steps on log2(W) bits more, W the largest weight, up to
+2**1554 near the boundary at n = 2000.
+
 A series without a rational form (alt_log, alt_harmonic_numbers,
 bernoulli_power, and any combine that includes one of them) is read in
 order from its term stream (SeriesSpec.terms), up to a_n, and summed in
@@ -71,7 +86,7 @@ from typing import Iterator, Optional, Sequence
 
 from .error_model import ErrorEstimate, observed_error, predicted_error
 from .exceptions import AbelRadiusError, DomainError, NumericError, _order
-from .series import SeriesSpec, _Constant, _running_sums, partial_sums
+from .series import SeriesSpec, _Constant, _Reciprocal, _running_sums, partial_sums
 from .special import _bernoulli, rounded, rounded_dot, rounded_mean
 from .weights import averaging_row, chi_row
 
@@ -116,6 +131,17 @@ _TREE_RATIO = 8
 # geometric x = -3.55 crosses at n of about 300.
 _CLOSED_BITS = 96
 _CLOSED_WORK = 100_000
+
+# A _Reciprocal part past |x| = 1 takes the recurrence (_reciprocal_part)
+# when the fixed kernel needs at least this many times sqrt(n) bits more
+# than it.  The recurrence takes n steps on small integers whatever x; the
+# fixed kernel's steps and their size grow with x, its weights falling to
+# 0 about sqrt(2 n P ln 2 / |x|) orders past their peak.  For log1p_taylor
+# (2 CPUs, Python 3.11) the two cost the same at 25, 49, 75 and 119 bits
+# more (x of about 1.55, 1.55, 1.4 and 1.35) for n = 200, 400, 1000 and
+# 2000: 1.8 to 2.7 sqrt(n).  Past that the recurrence is 1.6x as fast at
+# x = 1.7, n = 2000, and 3-7x for x from 2 to 3.5.
+_RECIPROCAL_GAIN = 2.5
 
 # ln(2 pi) / 2 to 120 decimals, 10**-120 from the exact value.
 _HALF_LN_2PI = Decimal(
@@ -229,7 +255,7 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     runs as t_0 = 2**P and t_k = floor(t_{k-1} * r_k), with the ratio
     r_k = (n-k+1)|p| / (n*q) taken as // n and >> log2 q, and A adds
     +-floor(t_k * |num| / den) for c(k) = (num, den).  A constant c (a
-    tuple, as series._Constant is) is read once: the loop adds +-t_k,
+    series._Constant) is read once: the loop adds +-t_k,
     and each signed sum is multiplied by |num| and floored by den at the
     end.  While the weights grow (the first k* ratios are >= 1) a t_k
     past P + _RENORM bits is cut back to P bits, and the sums with it, so
@@ -259,7 +285,12 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     shift = q.bit_length() - 1
     ap = abs(p)
     odd = 1 if p < 0 else 0  # the sign of x**k flips with k
-    const = isinstance(c, tuple)
+    const = isinstance(c, _Constant)
+    if isinstance(c, _Reciprocal):
+        # The same c(k) = c/k by a plain function: a call through the
+        # class's __call__ costs about twice as much, once an order.
+        cn, cd = c
+        c = lambda k: (cn, cd * k) if k else (0, 1)
     # k* = the number of ratios (n-j+1)|p| / (n*q) >= 1, j = 1..n.
     peak = min(n, max(0, n + 1 + (-n * q // ap))) if ap else 0
     end = min(end, n + 1)
@@ -406,20 +437,81 @@ def _closed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     return a, ((err + et) * abs(num) << up) // (den << down) + 2, e + k
 
 
+def _reciprocal_part(part, n: int, bits: int) -> tuple[int, int, int]:
+    """(A, E, e) for one part (y, c, _, math.inf) with c(k) = c/k
+    (a _Reciprocal) and |y| > 1 at precision P = bits, as _fixed_part
+    returns them: its sum lies in [(A - E) * 2**e, (A + E) * 2**e].
+
+    Since (n)_k / k = C(n, k) (k-1)!, the part is c times
+    sum_{k=1..n} C(n, k) (k-1)! h**k = h sum_{m=0}^{n-1} G_m, h = y/n,
+    by the hockey-stick identity, where G_m = sum_j (m)_j h**j is the
+    geometric approximant S_m(y m / n), with G_0 = 1 and
+    G_m = 1 + m h G_(m-1).  That step multiplies an error by m |h|, so it
+    runs forward, G_1..G_m0, while m |h| <= 1, and backward (Miller's
+    idea), G_(m-1) = (G_m - 1) / (m h) from G_(n-1) down to G_(m0+1),
+    where m |h| > 1 divides the error instead.  The backward run starts
+    from G_n = S_n(y), which _closed_part gives within E_n at the unit
+    2**e (moved to 2**0 when e > 0, so that 1 is a whole number of units).
+
+    The bound: each step's floor takes less than one unit, and neither
+    direction lets an error grow, so the forward G_m are off by less than
+    m units and the backward ones by less than E_n + (n - m).  Summed,
+    with b = n - 1 - m0 the backward values, the G_m are off by at most
+    m0 (m0+1)/2 + b E_n + b (b+1)/2 units.  The sum is then scaled by
+    c h = num p / (den n q), y = p/q, to the unit 2**(e+k) with
+    2**(k-1) < |c h| < 2**(k+1), as _closed_part scales by c: A's floor
+    and the rounded-up error add two units.  The error is about n**2 / 2
+    units before the scaling divides it by about n / |y|, so P of
+    64 + 2 log2(n) bits leaves 64 and more over S_n's order-one scale.
+    """
+    y, (num, den), _, _ = part
+    p, q = y.as_integer_ratio()
+    nq = n * q
+    g, err_n, e = _closed_part((y, _Constant((1, 1)), 1.0, math.inf), n, bits)
+    if e > 0:
+        g, err_n, e = g << e, err_n << e, 0
+    one = 1 << -e
+    m0 = min(n - 1, nq // abs(p))  # the last m with m |h| <= 1
+    total = f = one  # G_0
+    for m in range(1, m0 + 1):
+        f = one + m * p * f // nq
+        total += f
+    for m in range(n, m0 + 1, -1):
+        g = (g - one) * nq // (m * p)
+        total += g
+    b = n - 1 - m0
+    err = m0 * (m0 + 1) // 2 + b * err_n + b * (b + 1) // 2
+    num, den = num * p, den * nq
+    k = abs(num).bit_length() - den.bit_length()
+    up, down = max(0, -k), max(0, k)
+    a = (total * num << up) // (den << down)
+    return a, (err * abs(num) << up) // (den << down) + 2, e + k
+
+
 def _kernel(part, n: int, bits: int) -> tuple:
     """(kernel, part, P): the kernel _fixed_sum sums part with, and its
-    starting precision.  A constant part past |x| = 1 takes _closed_part
-    at _CLOSED_BITS when its transient is below 2**-_CLOSED_BITS or the
-    fixed kernel's work n * bits reaches _CLOSED_WORK; any other takes
-    _fixed_part at bits."""
+    starting precision.  Past |x| = 1 a constant part takes _closed_part
+    at _CLOSED_BITS, S_n = T - R.  A _Reciprocal part there (c(k) = c/k,
+    log1p_taylor) takes _reciprocal_part at 64 + 2 log2(n) bits, when the
+    fixed kernel needs _RECIPROCAL_GAIN sqrt(n) bits more: with h = y/n
+    its sum is c h sum_{m<n} G_m, the geometric approximants
+    G_m = 1 + m h G_(m-1) run forward while m |h| <= 1 and backward from
+    the closed form's G_n after, each step adding at most one unit, so
+    the G_m are off by at most m0 (m0+1)/2 + b E_n + b (b+1)/2 units.
+    Either takes its closed form only when that is cheap: the transient
+    below 2**-P, or the fixed kernel's work n * bits at _CLOSED_WORK or
+    more.  Any other part takes _fixed_part at bits."""
     x, c, _, end = part
-    if (
-        isinstance(c, _Constant)
-        and end == math.inf
-        and abs(x) > 1.0
-        and (n * bits >= _CLOSED_WORK or _transient_log2(x, n) < -_CLOSED_BITS)
-    ):
-        return _closed_part, part, _CLOSED_BITS
+    if end == math.inf and abs(x) > 1.0:
+        kernel = None
+        if isinstance(c, _Constant):
+            kernel, start = _closed_part, _CLOSED_BITS
+        elif isinstance(c, _Reciprocal):
+            start = 64 + 2 * n.bit_length()
+            if bits - start >= _RECIPROCAL_GAIN * math.sqrt(n):
+                kernel = _reciprocal_part
+        if kernel and (n * bits >= _CLOSED_WORK or _transient_log2(x, n) < -start):
+            return kernel, part, start
     return _fixed_part, part, bits
 
 

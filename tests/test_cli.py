@@ -482,6 +482,71 @@ class TestFormats:
         json.loads(text)
 
 
+class TestSignedValues:
+    # A value that starts with a minus sign is the option's value, whether
+    # or not argparse would take it for a negative number, and written
+    # apart from its option or joined by "=".
+    @pytest.mark.parametrize("joined", [False, True])
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["sum", "--series", "geometric", "--x", "-1e-3", "--n", "10"],
+             [["n", "approximant"], ["10", "0.9990008992805037"]]),
+            (["table", "--x-list", "-1,0.5", "--n-list", "20"],
+             [["n", "x=-1", "x=0.5"], ["20", "0.6406603293386889", "1.2882097226904177"],
+              ["exact", "0.6449340668482506", "1.2898681336965012"]]),
+        ],
+        ids=["x", "x-list"],
+    )
+    def test_value_is_read(self, argv, joined, rows):
+        if joined:
+            i = next(i for i, a in enumerate(argv) if a.startswith("-") and a[1:2].isdigit())
+            argv = argv[: i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+        code, text = run_cli("--format", "csv", *argv)
+        assert code == EXIT_OK
+        assert [line.split(",") for line in text.splitlines()] == rows
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table", "--n-list", "-1,20"], "error: need n >= 1, got -1"),
+            (["sum", "--series", "grandi", "--n-grid", "-5,10"],
+             "error: need n >= 1, got -5"),
+        ],
+        ids=["n-list", "n-grid"],
+    )
+    def test_negative_order_list_is_a_domain_error(self, capsys, argv, message):
+        # The list reaches the order check, which names the bad order.
+        code, _ = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--series", "geometric", "--x", "--n", "10"],
+            ["sum", "--series", "geometric", "--x", "-inf", "--n", "10"],
+            ["sum", "--series", "grandi", "--n", "-1e3"],
+        ],
+        ids=["option-after-x", "not-a-number-form", "other-option"],
+    )
+    def test_other_argparse_errors_stay(self, capsys, argv):
+        code, _ = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
+
+def test_module_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(chisum.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "chisum.cli", "--format", "json", "sum",
+         "--series", "grandi", "--n", "100"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert strict_json(done.stdout)["results"]["n"] == 100
+
+
 # Inputs for the CLI fuzz test.
 _NUMBER_TEXT = st.one_of(
     st.sampled_from(["abc", "nan", "inf", "-inf", "", "1e400", "-3.5", "0"]),

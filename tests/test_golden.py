@@ -71,6 +71,9 @@ ulp of the signed value.  They were re-pinned by running this script:
 Every other pin is unchanged.
 """
 
+import math
+
+import mpmath
 import pytest
 
 from chisum.series import catalog_lookup, combine
@@ -291,6 +294,57 @@ def test_chi_pin_is_the_product_tree(case):
     # Each is S_n correctly rounded, or the product tree's exception.
     label, n = case.split(" ", 1)[1].rsplit(" n=", 1)
     assert outcome(lambda: _exact_sum(RATIONAL[label](), int(n))) == GOLDEN[case]
+
+
+def _log1p_term(x: float, k: int):
+    """(-1)**(k+1) x**k / k, and 0 at k = 0, in mpmath's precision."""
+    return (-1) ** (k + 1) * mpmath.mpf(x) ** k / k if k else mpmath.mpf(0)
+
+
+# label -> a_k, built from the definition of each series, not from its
+# rational form, for every pin that has a log1p_taylor part.
+DEFINITION = {f"log1p_taylor({x})": (lambda k, x=x: _log1p_term(x, k)) for x in LOG1P_X}
+DEFINITION["geometric(-2.0)-0.5*log1p_taylor(1.5)"] = (
+    lambda k: mpmath.mpf(-2) ** k - _log1p_term(1.5, k) / 2
+)
+
+
+def _definition_sum(term, n: int) -> str:
+    """S_n = sum_{k<=n} (n)_k / n**k a_k in mpmath, as outcome pins it.
+
+    The sum is taken at P and 2P bits, P doubling from 64, until the
+    2P-bit value, widened by four times the two values' distance, rounds
+    to one double at both ends.  Past double range it is NumericError,
+    as chi_sum raises.
+    """
+    prec = 64
+    while prec <= 1 << 16:
+        sums = []
+        for p in (prec, 2 * prec):
+            with mpmath.workprec(p):
+                total, w = mpmath.mpf(0), mpmath.mpf(1)
+                for k in range(n + 1):
+                    total += w * term(k)
+                    w = w * (n - k) / n
+                sums.append(total)
+        with mpmath.workprec(2 * prec):
+            lo, hi = sums
+            err = 4 * abs(hi - lo) + abs(hi) * mpmath.ldexp(1, -prec)
+            ends = {float(hi - err), float(hi + err)}
+        if len(ends) == 1:
+            value = ends.pop()
+            return "NumericError" if math.isinf(value) else float.hex(value)
+        prec *= 2
+    raise AssertionError(f"no precision up to {prec // 2} bits settles")
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(c for c in CASES if c.startswith("chi_") and "log1p_taylor" in c),
+)
+def test_log1p_taylor_pin_is_the_definition_in_mpmath(case):
+    label, n = case.split(" ", 1)[1].rsplit(" n=", 1)
+    assert _definition_sum(DEFINITION[label], int(n)) == GOLDEN[case]
 
 
 if __name__ == "__main__":

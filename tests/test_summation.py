@@ -19,16 +19,26 @@ from hypothesis import strategies as st
 import chisum
 from chisum.error_model import predicted_error
 from chisum.exceptions import AbelRadiusError, DomainError, NumericError
-from chisum.series import _Constant, catalog_lookup, combine, load_custom, partial_sums
+from chisum.series import (
+    _Constant,
+    _Reciprocal,
+    catalog_lookup,
+    combine,
+    load_custom,
+    partial_sums,
+)
 from chisum.summation import (
     CONVERGED,
     DIVERGING,
     INCONCLUSIVE,
     _closed_part,
     _exact_sum,
+    _fixed_bits,
     _fixed_part,
     _fixed_sum,
     _HALF_LN_2PI,
+    _kernel,
+    _reciprocal_part,
     _transient,
     _transient_log2,
     abel_estimate,
@@ -832,6 +842,108 @@ class TestClosedForm:
         with mpmath.workdps(140):
             off = mpmath.mpf(str(_HALF_LN_2PI)) - mpmath.log(2 * mpmath.pi) / 2
             assert abs(off) < mpmath.mpf(10) ** -120
+
+
+def recurrence(spec, n):
+    """fixed_point with every _Reciprocal part past |x| = 1 on the
+    recurrence, at any order and precision."""
+    with mock.patch("chisum.summation._RECIPROCAL_GAIN", -math.inf):
+        with mock.patch("chisum.summation._CLOSED_WORK", 0):
+            return fixed_point(spec, n)
+
+
+@st.composite
+def log1p_past_one(draw):
+    """log1p_taylor at x in (1, 4], dyadic or with a full 53-bit mantissa
+    (as the benchmark's x rounded to six decimals have), alone or scaled,
+    or combined with a geometric series."""
+    x = draw(
+        st.one_of(
+            st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+            st.floats(min_value=1.000001, max_value=4.0).map(lambda x: round(x, 6)),
+            st.integers(min_value=1, max_value=31).map(lambda i: 1.0 + i / 32 * 3),
+        )
+    )
+    spec = catalog_lookup("log1p_taylor", x=x)
+    how = draw(st.sampled_from(["alone", "scaled", "geometric"]))
+    if how == "scaled":
+        return combine([spec], [draw(st.floats(min_value=-1e3, max_value=1e3))])
+    if how == "geometric":
+        geo = catalog_lookup("geometric", x=draw(st.floats(-3.5, 0.9)))
+        coefs = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+        return combine([spec, geo], coefs)
+    return spec
+
+
+class TestReciprocalRecurrence:
+    # _reciprocal_part: a part with c(k) = c/k past |x| = 1 (log1p_taylor)
+    # as h times the sum of the geometric approximants G_m, run forward
+    # while m |h| <= 1 and backward from the closed form's G_n after.
+    @given(log1p_past_one(), st.integers(min_value=1, max_value=3000))
+    @example(catalog_lookup("log1p_taylor", x=3.5), 2000)
+    @example(catalog_lookup("log1p_taylor", x=1.0000001), 2000)
+    @example(catalog_lookup("log1p_taylor", x=3.5911), 1000)
+    @example(catalog_lookup("log1p_taylor", x=4.0), 2000)  # overflows
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_product_tree(self, spec, n):
+        TestFixedKernel.same(spec, n, chi_sum, chi_limit, recurrence)
+
+    @given(
+        past_one(),
+        st.sampled_from([(-1, 1), (3, 2), (-7, 1), (1, 3 << 60)]),
+        st.integers(min_value=1, max_value=150),
+        st.integers(min_value=1, max_value=60),
+    )
+    @example(-3.5, (-1, 1), 150, 4)
+    @example(3.5, (-1, 1), 150, 4)
+    # y just past 1: nearly every step runs forward with m h close to 1,
+    # where the floors' errors add up instead of dying out.
+    @example(1.005, (-1, 1), 150, 4)
+    @settings(max_examples=200, deadline=None)
+    def test_part_bound_holds_at_low_precision(self, y, c, n, bits):
+        # As for the other kernels: at a few bits the floors move A well
+        # away from the exact sum, so this checks the error bound itself.
+        part = (y, _Reciprocal(c), abs(c[0] / c[1]), math.inf)
+        a, err, e = _reciprocal_part(part, n, bits)
+        exact, w = Fraction(0), Fraction(1)
+        for k in range(1, n + 1):
+            w *= Fraction(n - k + 1, n) * Fraction(y)
+            exact += w / k
+        exact *= Fraction(*c)
+        assert abs(exact * Fraction(2) ** -e - a) <= err
+
+    @pytest.mark.parametrize(
+        "x, n, kernel",
+        [
+            (3.5, 2000, _reciprocal_part),
+            (-3.5, 2000, _reciprocal_part),  # log1p_taylor past x = -1
+            # The fixed kernel needs few bits more than the recurrence.
+            (1.1, 2000, _fixed_part),
+            # G_n's transient is not negligible, and the fixed work small.
+            (3.0, 50, _fixed_part),
+        ],
+    )
+    def test_route(self, x, n, kernel):
+        spec = catalog_lookup("log1p_taylor", x=x)
+        for s in (spec, combine([spec], [0.5])):
+            ((_, c, _, _),) = s.rational
+            assert type(c) is _Reciprocal
+            assert _kernel(s.rational[0], n, _fixed_bits(s, n))[0] is kernel
+
+    @pytest.mark.parametrize("x", [1.6, 2.5, 3.5, 3.55])
+    def test_settles_without_the_other_kernels(self, monkeypatch, x):
+        # The recurrence's first precision settles the sum.
+        spec = catalog_lookup("log1p_taylor", x=x)
+        want = _exact_sum(spec, 2000)
+        calls = []
+        monkeypatch.setattr("chisum.summation._fixed_part", None)
+        monkeypatch.setattr("chisum.summation._exact_sum", None)
+        monkeypatch.setattr(
+            "chisum.summation._reciprocal_part",
+            lambda *a: calls.append(a[-1]) or _reciprocal_part(*a),
+        )
+        assert chi_sum(spec, 2000) == want
+        assert calls == [64 + 2 * (2000).bit_length()]
 
 
 class TestOneKernel:
