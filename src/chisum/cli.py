@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import re
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 # Unused: bench/run.py::cli_probe times both imports under chisum.cli, and
@@ -54,7 +54,9 @@ _ABEL_DEFAULT_RADII = (0.9, 0.99, 0.999)
 
 # Options whose value may start with a minus sign.  argparse takes a value
 # such as -1e-3 or -1,0.5 for an option, since only a plain negative
-# number passes its test, so _signed_values joins it to its option.
+# number passes its test, so _signed_values joins it to its option.  No
+# parser takes an abbreviated option (build_parser), so these are the
+# only names it needs to join.
 _SIGNED = ("--x", "--x-list", "--n-list", "--n-grid")
 
 # Classical methods for --compare, each evaluated at the last grid order.
@@ -81,8 +83,7 @@ def _emit(record: dict, fmt: str, out) -> None:
 
 def _emit_csv(record: dict, out) -> None:
     rows = record.get("rows")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     if rows:
         writer.writerow(rows["header"])
         for row in rows["data"]:
@@ -95,7 +96,6 @@ def _emit_csv(record: dict, out) -> None:
         writer.writerow(
             [repr(flat[k]) if isinstance(flat[k], float) else flat[k] for k in keys]
         )
-    out.write(buf.getvalue())
 
 
 def _emit_text(record: dict, out) -> None:
@@ -291,7 +291,8 @@ def _add_sum_parser(sub, name: str, help: str, compare: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="chisum",
         description="Summation of divergent series by factorial-decay weights.",
     )
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text"
     )
     parser.add_argument("--tol", type=_finite, default=1e-10)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     _add_sum_parser(sub, "sum", "chi-sum a series", compare="")
     _add_sum_parser(

@@ -2,77 +2,18 @@
 convergence classification, Richardson acceleration, and the classical
 comparison methods (Cesaro, Euler transform, Abel).
 
-Both defining forms, chi_sum (the one evaluation path that sweeps and
-every CLI command use) and chi_limit, split on the series.  A series with
-a rational form (geometric, grandi, log1p_taylor, custom, and combine of
-these) goes straight to a fixed-point kernel that returns S_n correctly
-rounded; any other series takes a guarded double sum under the weight
-row.
-
-The fixed-point kernel (_fixed_sum) reads no term and builds no row.  The
-weights (n)_k / n**k are rational, so S_n is a rational number.  Each
-weight follows from the one before in integers of about P bits, P some
-64 bits more than the largest weight needs, with a proven bound on the
-floors' error, and the result stands when both ends of that bound round
-to the same double (Ziv's strategy).  Near the summability boundary the
-weighted terms grow like exp(c*n) before cancelling down to order one,
-which the P bits absorb; for |x| <= 1 the integer weights reach 0 after
-about sqrt(2 n P ln 2) orders, far fewer than n.  When the ends do not
-agree after two doublings of P, as for a sum that is exactly zero or
-exactly halfway between two doubles, or when the product tree is the
-cheaper kernel (x large, or n small), the sum is done exactly from a
-balanced product tree (binary splitting, _exact_sum): each product joins
-two halves of about equal size, where CPython's Karatsuba multiplication
-is fast.  Both give the same double, and the tests hold them equal.
-
-A part with a constant coefficient past |x| = 1 (geometric, and combine
-scalings of it) has S_n in closed form: S_n = T - R, with the boundary
-transient T = n! (x/n)**n e**(n/x) and R = sum_{i>=1} (n/x)**i n!/(n+i)!,
-a series whose ratios stay below 1/|x| (_closed_part).  R takes about
-96 / log2|x| integer steps of about 96 bits, in place of the fixed
-kernel's n steps on P bits, and T is computed, from Stirling's series
-in decimal, only when it is not below the last of those bits.  Such a
-part takes the closed form in place of the fixed kernel when T is
-negligible or the fixed kernel's work is past a measured crossover
-(_kernel).  Every kernel gives its part as an integer within a proven
-bound at a power-of-two unit, so one Ziv test settles the sum over all
-the parts, whichever kernels made them; a sum it does not settle goes
-to the tree.  At n = 2000, geometric x = -2 takes about 30 us against
-0.7 ms in fixed point, and x = -3.55 about 0.09 ms against 1.6 ms
-(2 CPUs, Python 3.11).
-
-A part whose coefficient is c/k (log1p_taylor, a_k = -(-x)**k / k, and
-combine scalings of it) rests on the geometric approximants instead:
-since (n)_k / k = C(n, k) (k-1)!, its sum is c h sum_{m<n} G_m with
-h = y/n and G_m = S_m(y m / n), the geometric approximant, which obeys
-G_0 = 1 and G_m = 1 + m h G_(m-1) (_reciprocal_part).  That step
-multiplies an error by m |h|, so it is run forward only while
-m |h| <= 1, and backward, G_(m-1) = (G_m - 1) / (m h), from G_n, the
-closed form's S_n(y), where m |h| > 1 divides it (Miller's idea; Gautschi,
-SIAM Review 9, 1967).  Each step then adds at most one unit of error:
-the G_m are off by at most m0 (m0+1)/2 + b E_n + b (b+1)/2 units in all,
-m0 forward steps, b backward ones and E_n the closed form's bound.  So
-n steps on integers of about 64 + 2 log2(n) bits replace the fixed
-kernel's n steps on log2(W) bits more, W the largest weight, up to
-2**1554 near the boundary at n = 2000.
-
-A series without a rational form (alt_log, alt_harmonic_numbers,
-bernoulli_power, and any combine that includes one of them) is read in
-order from its term stream (SeriesSpec.terms), up to a_n, and summed in
-double precision under the weight row (_guarded_sum).  Past the end of
-the row every weight is below sys.float_info.min, so the terms there are
-only checked to be finite.  Every other method reads the stream too,
-pulling exactly the terms it uses, so an order-n result costs O(n) term
-work; Abel reads a fresh stream per radius in blocks, each added by
-math.fsum.  The double path and Cesaro's mean sum by one rule,
-special.rounded_mean, and they and the Euler mean report a failure
-through one check, _checked, which names the first term that is not
-finite.
-
-The Euler transform is always summed exactly: the (E,1) mean is a
-weighted sum of a_0..a_n whose weights are binomial tails over
-2**(n+1), so it is one integer sum over the double terms, rounded once
-(special.rounded_dot), in O(n) big-integer steps, not a difference table.
+A map of the routes; the docstring of the function named proves each:
+- chi_sum and chi_limit on a series with a rational form: _fixed_sum,
+  which reads no term, sums each part by the kernel _kernel picks and
+  settles their bounds at once (_settle);
+- a constant part past |x| = 1: the closed form (_closed_part);
+- a c/k part past |x| = 1: the geometric approximants (_reciprocal_part);
+- any other part: fixed point (_fixed_part, sized by _fixed_bits);
+- the product tree (_exact_sum): where _kernel finds it the cheaper, a
+  coefficient bound past double range, or a sum _settle leaves open;
+- chi_sum and chi_limit on any other series: a double sum of the term
+  stream under the weight row (_guarded_sum);
+- cesaro_mean, euler_transform (one exact integer sum) and abel_estimate.
 """
 
 from __future__ import annotations
@@ -113,22 +54,24 @@ INCONCLUSIVE = "inconclusive"
 # working precision before it is cut back.
 _RENORM = 32
 
-# The fixed-point kernel works on P-bit integers for n terms; the product
-# tree's integers gain the bits of x's numerator and denominator and of n
-# per term, s in all.  Past P = n * s / _TREE_RATIO the product tree is
-# the cheaper kernel.  Geometric at n = 2000 (2 CPUs, Python 3.11):
-# x = -3.59 gives P / (n s) = 0.008 and the fixed point is 4x faster,
-# x = -3.5 gives 0.05 and both take the same time, x = 1e5 gives 0.5 and
-# the product tree is 10x faster.
+# A part on the fixed-point kernel works on P-bit integers for n terms;
+# the product tree's integers gain s bits per term, those of n and of the
+# numerator and denominator of the series' widest x.  Past
+# P = n * s / _TREE_RATIO, _kernel sends a series with a part on the
+# fixed kernel to the product tree; it takes the recurrence only for a
+# part whose integers stay below 2P bits.  Geometric on the fixed kernel
+# at n = 2000 (2 CPUs, Python 3.11): x = -3.59 gives P / (n s) = 0.008
+# and the fixed point is 4x faster, x = -3.5 gives 0.05 and both take
+# the same time, x = 1e5 gives 0.5 and the product tree is 10x faster.
 _TREE_RATIO = 8
 
 # The closed form (_closed_part) starts at this many bits below its
-# part's scale.  It serves a part whose transient T is below its first
-# unit (then a sum at n = 2000 takes 30-60 us), or where the fixed
-# kernel's work n * P reaches _CLOSED_WORK, past which the closed form's
-# flat 0.1-0.2 ms, most of it T's decimal ln and exp, is the smaller
-# (geometric x in [-3.9, -1.1] and [1.1, 3], 2 CPUs, Python 3.11):
-# geometric x = -3.55 crosses at n of about 300.
+# part's scale.  _kernel gives it a part whose transient is below that
+# (then a sum at n = 2000 takes 30-60 us), or where the fixed kernel's
+# work n * P reaches _CLOSED_WORK, past which the closed form's flat
+# 0.1-0.2 ms, most of it the transient's decimal ln and exp, is the
+# smaller (geometric x in [-3.9, -1.1] and [1.1, 3], 2 CPUs, Python
+# 3.11): geometric x = -3.55 crosses at n of about 300.
 _CLOSED_BITS = 96
 _CLOSED_WORK = 100_000
 
@@ -188,7 +131,9 @@ def _exact_sum(spec: SeriesSpec, n: int) -> float:
     _split over [0, n+1), every order read whatever the part's end.  Each
     (P, Q, B, T) is exact, so each part is exactly the same rational
     however the range is split; the parts are added by cross-multiplying,
-    and the final quotient is rounded once (rounded).
+    and the final quotient is rounded once (rounded).  Each product joins
+    two halves of about equal size, where CPython's Karatsuba
+    multiplication is fast.
     """
     num, den = 0, 1
     for x, c, _, _ in spec.rational:
@@ -355,9 +300,10 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     multiplied by n <= Y, so each of the N <= 70 operations that make y
     moves it by at most eps Y; D digits make N Y eps <= 2**-(b+6), and
     _HALF_LN_2PI is off by less than 2**-(b+6) for b up to 392.  So y is
-    off by a <= 3 * 2**-(b+6), and the computed value, after four more
-    roundings, by a relative 2 (a + 2 eps) < 2**-(b+2) of at most 2**b:
-    a quarter unit, and less than two once truncated to an integer.
+    off by a <= 3 * 2**-(b+6), and the computed value, after three more
+    roundings (exp, sqrt and their product; the scaling by 2**-e is done
+    exactly, in integers), by a relative 2 (a + 2 eps) < 2**-(b+2) of at
+    most 2**b: a quarter unit, and less than two once floored.
     When b + 6 is past _HALF_LN_2PI's digits, or no Stirling term up to
     B_60 falls below 2**-(b+6) (n of about 12 and below at b = 96), V is
     0 and err is 2**b.
@@ -381,10 +327,20 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     # |x| rounded to D digits first: ln of a 50-digit x can take twice as long.
     y = ctx.multiply(n, ctx.subtract(ctx.ln(ctx.plus(Decimal(abs(x)))), 1))
     y = ctx.add(ctx.add(y, ctx.divide(n, Decimal(x))), ctx.add(sigma, _HALF_LN_2PI))
-    v = ctx.multiply(ctx.exp(y), ctx.sqrt(n))
-    v = ctx.multiply(v, 1 << -e) if e < 0 else ctx.divide(v, 1 << e)
-    v = int(v)
+    num, den = ctx.multiply(ctx.exp(y), ctx.sqrt(n)).as_integer_ratio()
+    v = (num << -e) // den if e < 0 else num // (den << e)
     return (-v if x < 0 and n & 1 else v), 2
+
+
+def _scaled(a: int, err: int, num: int, den: int, e: int) -> tuple[int, int, int]:
+    """(A, E, e + k): a sum within err units of a at the unit 2**e, times
+    num/den, at the unit 2**(e+k) with 2**(k-1) < |num/den| < 2**(k+1),
+    so that A keeps the bits of a.  A = floor(a num / (den 2**k)), and E
+    is err scaled the same way, rounded up, plus one for A's floor."""
+    k = abs(num).bit_length() - den.bit_length()
+    up, down = max(0, -k), max(0, k)
+    a = (a * num << up) // (den << down)
+    return a, (err * abs(num) << up) // (den << down) + 2, e + k
 
 
 def _closed_part(part, n: int, bits: int) -> tuple[int, int, int]:
@@ -411,9 +367,7 @@ def _closed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     sum, cut down to 2**e by one more floor when e > 0, adds at most two
     units more.  T is left out, as at most one unit, while its bound is
     below 2**e; otherwise _transient gives it within its err.  Last,
-    c = num/den with 2**(k-1) < |c| < 2**(k+1): A is
-    floor((T - R) num / (den 2**k)) at the unit 2**(e+k), and E the error
-    of T - R scaled the same way, rounded up, plus one for A's floor.
+    T - R is scaled by c (_scaled).
     """
     x, (num, den), _, _ = part
     p, q = x.as_integer_ratio()
@@ -431,10 +385,7 @@ def _closed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     if g + e:
         r, err = r >> (g + e), (err >> (g + e)) + 2
     t, et = _transient(x, n, e, bits) if bound >= e else (0, 1)
-    k = abs(num).bit_length() - den.bit_length()
-    up, down = max(0, -k), max(0, k)
-    a = ((t - r) * num << up) // (den << down)
-    return a, ((err + et) * abs(num) << up) // (den << down) + 2, e + k
+    return _scaled(t - r, err + et, num, den, e)
 
 
 def _reciprocal_part(part, n: int, bits: int) -> tuple[int, int, int]:
@@ -448,21 +399,20 @@ def _reciprocal_part(part, n: int, bits: int) -> tuple[int, int, int]:
     geometric approximant S_m(y m / n), with G_0 = 1 and
     G_m = 1 + m h G_(m-1).  That step multiplies an error by m |h|, so it
     runs forward, G_1..G_m0, while m |h| <= 1, and backward (Miller's
-    idea), G_(m-1) = (G_m - 1) / (m h) from G_(n-1) down to G_(m0+1),
-    where m |h| > 1 divides the error instead.  The backward run starts
-    from G_n = S_n(y), which _closed_part gives within E_n at the unit
-    2**e (moved to 2**0 when e > 0, so that 1 is a whole number of units).
+    idea; Gautschi, SIAM Review 9, 1967), G_(m-1) = (G_m - 1) / (m h)
+    from G_(n-1) down to G_(m0+1), where m |h| > 1 divides the error
+    instead.  The backward run starts from G_n = S_n(y), which
+    _closed_part gives within E_n at the unit 2**e (moved to 2**0 when
+    e > 0, so that 1 is a whole number of units).
 
     The bound: each step's floor takes less than one unit, and neither
     direction lets an error grow, so the forward G_m are off by less than
     m units and the backward ones by less than E_n + (n - m).  Summed,
     with b = n - 1 - m0 the backward values, the G_m are off by at most
     m0 (m0+1)/2 + b E_n + b (b+1)/2 units.  The sum is then scaled by
-    c h = num p / (den n q), y = p/q, to the unit 2**(e+k) with
-    2**(k-1) < |c h| < 2**(k+1), as _closed_part scales by c: A's floor
-    and the rounded-up error add two units.  The error is about n**2 / 2
-    units before the scaling divides it by about n / |y|, so P of
-    64 + 2 log2(n) bits leaves 64 and more over S_n's order-one scale.
+    c h = num p / (den n q), y = p/q (_scaled).  The error is about
+    n**2 / 2 units before the scaling divides it by about n / |y|, so P
+    of 64 + 2 log2(n) bits leaves 64 and more over S_n's order-one scale.
     """
     y, (num, den), _, _ = part
     p, q = y.as_integer_ratio()
@@ -481,45 +431,63 @@ def _reciprocal_part(part, n: int, bits: int) -> tuple[int, int, int]:
         total += g
     b = n - 1 - m0
     err = m0 * (m0 + 1) // 2 + b * err_n + b * (b + 1) // 2
-    num, den = num * p, den * nq
-    k = abs(num).bit_length() - den.bit_length()
-    up, down = max(0, -k), max(0, k)
-    a = (total * num << up) // (den << down)
-    return a, (err * abs(num) << up) // (den << down) + 2, e + k
+    return _scaled(total, err, num * p, den * nq, e)
 
 
-def _kernel(part, n: int, bits: int) -> tuple:
-    """(kernel, part, P): the kernel _fixed_sum sums part with, and its
-    starting precision.  Past |x| = 1 a constant part takes _closed_part
-    at _CLOSED_BITS, S_n = T - R.  A _Reciprocal part there (c(k) = c/k,
-    log1p_taylor) takes _reciprocal_part at 64 + 2 log2(n) bits, when the
-    fixed kernel needs _RECIPROCAL_GAIN sqrt(n) bits more: with h = y/n
-    its sum is c h sum_{m<n} G_m, the geometric approximants
-    G_m = 1 + m h G_(m-1) run forward while m |h| <= 1 and backward from
-    the closed form's G_n after, each step adding at most one unit, so
-    the G_m are off by at most m0 (m0+1)/2 + b E_n + b (b+1)/2 units.
-    Either takes its closed form only when that is cheap: the transient
-    below 2**-P, or the fixed kernel's work n * bits at _CLOSED_WORK or
-    more.  Any other part takes _fixed_part at bits."""
-    x, c, _, end = part
-    if end == math.inf and abs(x) > 1.0:
-        kernel = None
-        if isinstance(c, _Constant):
-            kernel, start = _closed_part, _CLOSED_BITS
-        elif isinstance(c, _Reciprocal):
-            start = 64 + 2 * n.bit_length()
-            if bits - start >= _RECIPROCAL_GAIN * math.sqrt(n):
-                kernel = _reciprocal_part
-        if kernel and (n * bits >= _CLOSED_WORK or _transient_log2(x, n) < -start):
-            return kernel, part, start
-    return _fixed_part, part, bits
+def _kernel(parts, n: int, bits: int) -> Optional[list]:
+    """The route (kernel, part, P) of each of a series' rational parts:
+    the kernel _fixed_sum sums the part with, and its starting precision;
+    or None where the series goes to the product tree.
+
+    A part past |x| = 1 whose coefficients never end takes a kernel of its
+    own where that is cheap: _closed_part at _CLOSED_BITS for a constant
+    coefficient, or _reciprocal_part at 64 + 2 log2(n) bits for c/k where
+    the fixed kernel needs _RECIPROCAL_GAIN sqrt(n) bits more and the
+    product tree is not the cheaper; either only when its transient
+    (_transient_log2) is below its first bit or the fixed kernel's work
+    n * bits reaches _CLOSED_WORK.  Any other part takes _fixed_part at
+    bits, unless the product tree is the cheaper (_TREE_RATIO)."""
+    s = max(sum(map(int.bit_length, x.as_integer_ratio())) for x, *_ in parts)
+    s += n.bit_length()
+    routes = []
+    for part in parts:
+        x, c, _, end = part
+        route = _fixed_part, part, bits
+        if end == math.inf and abs(x) > 1.0:
+            bound, kernel = _transient_log2(x, n), None
+            if isinstance(c, _Constant):
+                kernel, start = _closed_part, _CLOSED_BITS
+            elif isinstance(c, _Reciprocal):
+                start = 64 + 2 * n.bit_length()
+                # Past 2**start the recurrence's integers carry the
+                # transient's bits, about half of them on average over its
+                # run.  For log1p_taylor the product tree is as fast from x
+                # of about 1e3 at n = 2000 and 1e4 at n = 400 (2 CPUs,
+                # Python 3.11).
+                cheap = _TREE_RATIO * max(start, bound) <= 2 * n * s
+                if cheap and bits - start >= _RECIPROCAL_GAIN * math.sqrt(n):
+                    kernel = _reciprocal_part
+            if kernel and (n * bits >= _CLOSED_WORK or bound < -start):
+                route = kernel, part, start
+        if route[0] is _fixed_part and _TREE_RATIO * bits > n * s:
+            return None
+        routes.append(route)
+    return routes
 
 
-def _settle(parts: list, n: int) -> Optional[float]:
-    """The double that S_n rounds to, from the sums (kernel, part, P) of
-    parts at P, 2P and 4P (Ziv's strategy), or None if no pass settles."""
+def _settle(routes: list, n: int) -> Optional[float]:
+    """The double that S_n rounds to, from the sums of the routes
+    (kernel, part, P) at P, 2P and 4P, or None if no pass settles.
+
+    Each kernel gives its part's sum within E units of A at the unit 2**e;
+    put on the finest of their units, the parts' A and E add up, so the
+    exact S_n lies in [(A - E) * 2**e, (A + E) * 2**e].  Rounding is
+    monotone and rounded is correct, so when both ends round to the same
+    nonzero double, S_n rounds to it too (Ziv's strategy).  A sum exactly
+    zero, or exactly halfway between two doubles, settles at no precision.
+    """
     for d in range(3):
-        sums = [kernel(part, n, p << d) for kernel, part, p in parts]
+        sums = [kernel(part, n, p << d) for kernel, part, p in routes]
         low = min(e for _, _, e in sums)
         total = sum(a << (e - low) for a, _, e in sums)
         err = sum(err << (e - low) for _, err, e in sums)
@@ -531,33 +499,19 @@ def _settle(parts: list, n: int) -> Optional[float]:
 
 
 def _fixed_sum(spec: SeriesSpec, n: int) -> float:
-    """S_n from the series' rational form in fixed point, correctly
-    rounded: the double _exact_sum returns, in a fraction of its time
-    where the working precision is small next to the product tree's
-    integers; elsewhere (_TREE_RATIO: x large, or n small; a top past
-    double range) it calls _exact_sum at once.
+    """S_n from the series' rational form, correctly rounded, as
+    _exact_sum returns it: P sized by _fixed_bits, each part routed by
+    _kernel, and the parts settled together (_settle).
 
-    Each part's sum lies within a proven bound of a scaled integer, from
-    the one kernel _kernel picks for it (_fixed_part, or _closed_part for
-    a constant part past |x| = 1); the parts are put on the finest of
-    their scales, so the exact S_n lies in [(A - E) * 2**e, (A + E) * 2**e].
-    Rounding is monotone and rounded is correct, so when both ends round
-    to the same double, S_n rounds to it too (Ziv's strategy, _settle).
-    Each kernel's precision starts at its own (_fixed_bits, _CLOSED_BITS)
-    and doubles at most twice.  A sum that settles past double range
-    raises NumericError at once, as _exact_sum does, since the proven
-    bound already decides it; a sum that does not settle, such as an
-    exact midpoint or a zero sum, goes to _exact_sum.
+    A part _kernel sends to the product tree, a top past double range (no
+    P can be sized from it) and a sum that does not settle go to
+    _exact_sum.  A sum that settles past double range raises NumericError
+    at once, as _exact_sum does, since the proven bound already decides it.
     """
-    value = None
+    routes = None
     if all(top < math.inf for _, _, top, _ in spec.rational):
-        bits = _fixed_bits(spec, n)
-        step = n.bit_length() + max(
-            sum(i.bit_length() for i in x.as_integer_ratio())
-            for x, *_ in spec.rational
-        )
-        if _TREE_RATIO * bits <= n * step:
-            value = _settle([_kernel(part, n, bits) for part in spec.rational], n)
+        routes = _kernel(spec.rational, n, _fixed_bits(spec, n))
+    value = _settle(routes, n) if routes else None
     if value is None:
         return _exact_sum(spec, n)
     if math.isinf(value):
@@ -599,11 +553,11 @@ def _guarded_sum(
 def chi_sum(spec: SeriesSpec, n: int) -> float:
     """chi approximant S_n = sum_{k=0..n} w(k) * a_k (first defining form).
 
-    A series with a rational form gets S_n correctly rounded from the
-    fixed-point kernel (_fixed_sum), which reads no term and builds no
-    weight row.  Any other series takes the guarded double sum of the
-    terms a_0..a_n under chi_row(n) (_guarded_sum).  A non-integer n, or
-    n < 1, raises DomainError.
+    A series with a rational form gets S_n correctly rounded from
+    _fixed_sum, which reads no term and builds no weight row.  Any other
+    series takes the guarded double sum of the terms a_0..a_n under
+    chi_row(n) (_guarded_sum).  A non-integer n, or n < 1, raises
+    DomainError.
     """
     n = _order(n)
     if spec.rational is not None:

@@ -535,6 +535,21 @@ class TestSignedValues:
         assert code == EXIT_USAGE
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--x-l", "-1,0.5", "--n-list", "20"],
+            ["table", "--x-l=-1,0.5", "--n-list", "20"],
+        ],
+        ids=["apart", "joined"],
+    )
+    def test_abbreviation_is_refused_either_way(self, capsys, argv):
+        # No parser takes an abbreviated option, so a signed value reads
+        # the same written apart from its option or joined by "=".
+        code, _ = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --x-l" in capsys.readouterr().err
+
 
 def test_module_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(chisum.__file__).parents[1])}

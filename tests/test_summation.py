@@ -503,7 +503,8 @@ def fixed_point(spec, n):
 def fixed_only(spec, n):
     """fixed_point with every part on _fixed_part."""
     with mock.patch(
-        "chisum.summation._kernel", lambda part, n, bits: (_fixed_part, part, bits)
+        "chisum.summation._kernel",
+        lambda parts, n, bits: [(_fixed_part, part, bits) for part in parts],
     ):
         return fixed_point(spec, n)
 
@@ -589,6 +590,21 @@ def boundary_series(draw):
     return combine([draw(leaf), draw(leaf)], coefs)
 
 
+def check_part_bound(kernel, part, n, bits):
+    """kernel's (A, E, e) for part (x, c, _, _) at P = bits against the
+    part's exact sum, sum_k c(k) (n)_k x**k / n**k in Fractions: within
+    E units of A at the unit 2**e.  At a few bits the floors move A well
+    away from the exact sum, so this checks the error bound itself, not
+    only a rounded result."""
+    x, c, _, _ = part
+    a, err, e = kernel(part, n, bits)
+    exact, w = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        exact += Fraction(*c(k)) * w
+        w *= Fraction(n - k, n) * Fraction(x)
+    assert abs(exact * Fraction(2) ** -e - a) <= err
+
+
 class TestFixedKernel:
     # _fixed_sum against the product tree it falls back to: the same
     # double, bit for bit, or the same exception.
@@ -633,16 +649,8 @@ class TestFixedKernel:
     @example(load_custom({"coefficients": [1e3] * 40, "x": 0.9}), 120, 0)
     @settings(max_examples=300, deadline=None)
     def test_part_bound_holds_at_low_precision(self, spec, n, extra):
-        # At a few bits the floors move A well away from the exact sum, so
-        # this checks the error bound itself, not only a rounded result.
-        bits = n.bit_length() + 2 + extra
-        ((x, c, top, end),) = spec.rational
-        a, err, e = _fixed_part((x, c, top, end), n, bits)
-        exact, w = Fraction(0), Fraction(1)
-        for k in range(n + 1):
-            exact += Fraction(*c(k)) * w
-            w *= Fraction(n - k, n) * Fraction(x)
-        assert abs(exact * Fraction(2) ** -e - a) <= err
+        (part,) = spec.rational
+        check_part_bound(_fixed_part, part, n, n.bit_length() + 2 + extra)
 
     @pytest.mark.parametrize(
         "name, x, n, want",
@@ -704,6 +712,20 @@ class TestFixedKernel:
         monkeypatch.setattr("chisum.summation._fixed_part", None)
         self.same(spec, n, _fixed_sum)
 
+    @pytest.mark.parametrize(
+        "name, x, n",
+        [("geometric", -20.0, 300), ("log1p_taylor", 10.0, 400)],
+        ids=["closed-form", "recurrence"],
+    )
+    def test_own_kernel_comes_before_the_tree_rule(self, monkeypatch, name, x, n):
+        # On the fixed kernel the tree rule would send these to the product
+        # tree; the tree rule weighs only parts left on the fixed kernel.
+        spec = catalog_lookup(name, x=x)
+        want = _exact_sum(spec, n)
+        monkeypatch.setattr("chisum.summation._fixed_part", None)
+        monkeypatch.setattr("chisum.summation._exact_sum", None)
+        assert chi_sum(spec, n) == chi_limit(spec, n) == want
+
     def test_a_top_past_double_range_goes_to_the_tree_at_once(self, monkeypatch):
         # 1e10 * 1e300 leaves double range, so the part's top is inf and no
         # precision can be sized from it; the sum itself is in range.
@@ -753,16 +775,9 @@ class TestClosedForm:
     )
     @settings(max_examples=200, deadline=None)
     def test_part_bound_holds_at_low_precision(self, x, c, n, bits):
-        # As for _fixed_part: at a few bits the floors move A well away
-        # from the exact sum, and T is left out or cut short.
+        # T is left out or cut short at a few bits, too.
         part = (x, _Constant(c), abs(c[0] / c[1]), math.inf)
-        a, err, e = _closed_part(part, n, bits)
-        exact, w = Fraction(0), Fraction(1)
-        for k in range(n + 1):
-            exact += w
-            w *= Fraction(n - k, n) * Fraction(x)
-        exact *= Fraction(*c)
-        assert abs(exact * Fraction(2) ** -e - a) <= err
+        check_part_bound(_closed_part, part, n, bits)
 
     @given(
         past_one(),
@@ -828,7 +843,9 @@ class TestClosedForm:
         assert repr(chi_sum(spec, 2000)) == "0.0"
         assert calls == ["_closed_part"] * 6 + ["_exact_sum"]
 
-    @pytest.mark.parametrize("x", [4.0, -5.0])
+    # x = 10 and -20 would go to the product tree if the tree rule were
+    # weighed before the closed form.
+    @pytest.mark.parametrize("x", [4.0, -5.0, 10.0, -20.0])
     def test_overflow_raises_after_one_closed_pass(self, monkeypatch, x):
         # Both ends past double range settle at once, which decides the
         # overflow: no other kernel runs.
@@ -901,16 +918,8 @@ class TestReciprocalRecurrence:
     @example(1.005, (-1, 1), 150, 4)
     @settings(max_examples=200, deadline=None)
     def test_part_bound_holds_at_low_precision(self, y, c, n, bits):
-        # As for the other kernels: at a few bits the floors move A well
-        # away from the exact sum, so this checks the error bound itself.
         part = (y, _Reciprocal(c), abs(c[0] / c[1]), math.inf)
-        a, err, e = _reciprocal_part(part, n, bits)
-        exact, w = Fraction(0), Fraction(1)
-        for k in range(1, n + 1):
-            w *= Fraction(n - k + 1, n) * Fraction(y)
-            exact += w / k
-        exact *= Fraction(*c)
-        assert abs(exact * Fraction(2) ** -e - a) <= err
+        check_part_bound(_reciprocal_part, part, n, bits)
 
     @pytest.mark.parametrize(
         "x, n, kernel",
@@ -920,7 +929,12 @@ class TestReciprocalRecurrence:
             # The fixed kernel needs few bits more than the recurrence.
             (1.1, 2000, _fixed_part),
             # G_n's transient is not negligible, and the fixed work small.
-            (3.0, 50, _fixed_part),
+            (3.0, 150, _fixed_part),
+            # So small that the product tree is the cheaper (_TREE_RATIO).
+            (3.0, 50, None),
+            # So large that the recurrence's integers would carry the
+            # transient's 30,000 bits: the product tree is the cheaper.
+            (1e5, 2000, None),
         ],
     )
     def test_route(self, x, n, kernel):
@@ -928,7 +942,8 @@ class TestReciprocalRecurrence:
         for s in (spec, combine([spec], [0.5])):
             ((_, c, _, _),) = s.rational
             assert type(c) is _Reciprocal
-            assert _kernel(s.rational[0], n, _fixed_bits(s, n))[0] is kernel
+            routes = _kernel(s.rational, n, _fixed_bits(s, n))
+            assert (routes[0][0] if routes else None) is kernel
 
     @pytest.mark.parametrize("x", [1.6, 2.5, 3.5, 3.55])
     def test_settles_without_the_other_kernels(self, monkeypatch, x):
