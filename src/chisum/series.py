@@ -53,10 +53,18 @@ class SeriesSpec:
     (numerator, denominator > 0), not necessarily in lowest terms, top a
     float at least every |c(k)|, and c(k) = 0 from order end on (end is
     math.inf when the coefficients never end, 0 for an all-zero part), so
-    terms can be bounded without reading them.  A constant c is a
-    _Constant, which the summation kernel reads once, not per term, and
-    c(k) = c/k (0 at k = 0) is a _Reciprocal, which it can sum from c
-    alone.
+    terms can be bounded without reading them.  Each c is one of three
+    tuple types: a constant c is a _Constant, which the summation kernel
+    reads once, not per term; c(k) = c/k (0 at k = 0) is a _Reciprocal,
+    which it can sum from c alone; and a finite list of coefficients is
+    a _Table of their pairs, converted once.
+
+    The stream of a series with one part is c(k) times x**k (pow, within
+    a few ulps where it is normal, as it is for |x| >= 1, else +-inf)
+    carried through monotone roundings only (a product, a quotient, an
+    fsum of one term).  So where |x| >= 1 and
+    |x| |c(k+1) / c(k)| >= 1 + 2**-40, |a_(k+1)| >= |a_k| or a term is
+    not finite; summation._settled_sum relies on this.
     """
 
     name: str
@@ -89,6 +97,17 @@ class _Reciprocal(tuple):
 
     def __call__(self, k: int) -> tuple[int, int]:
         return (self[0], self[1] * k) if k else (0, 1)
+
+
+class _Table(tuple):
+    """The coefficients of a truncated part, one pair (numerator,
+    denominator) per order, converted once; as the function k -> pair of
+    a rational part it gives (0, 1) past its end."""
+
+    __slots__ = ()
+
+    def __call__(self, k: int) -> tuple[int, int]:
+        return self[k] if k < len(self) else (0, 1)
 
 
 def _unless_overflow(value: Callable[[], float]) -> Optional[float]:
@@ -184,7 +203,7 @@ def _custom(
     x: Optional[float] = None,
     exact: Optional[float] = None,
 ) -> SeriesSpec:
-    coeffs = tuple(float(c) for c in coefficients)
+    coeffs = tuple(map(float, coefficients))
     xv = 1.0 if x is None else float(x)
     # Every coefficient from `end` on is zero, and the largest |c(k)|
     # bounds the others.
@@ -192,25 +211,17 @@ def _custom(
         (i for i, c in enumerate(reversed(coeffs)) if c), len(coeffs)
     )
     top = max(map(abs, coeffs), default=0.0)
+    # Only finite numbers have a rational form, as in combine.
+    finite = math.isfinite(xv) and all(map(math.isfinite, coeffs))
 
     return SeriesSpec(
         name="custom",
         terms=lambda: chain(map(mul, coeffs, _powers(xv)), repeat(0.0)),
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
-        # Only finite numbers have a rational form, as in combine.
         rational=(
-            (
-                (
-                    xv,
-                    lambda k: (
-                        coeffs[k].as_integer_ratio() if k < len(coeffs) else (0, 1)
-                    ),
-                    top,
-                    end,
-                ),
-            )
-            if all(map(math.isfinite, (xv, *coeffs)))
+            ((xv, _Table(map(float.as_integer_ratio, coeffs)), top, end),)
+            if finite
             else None
         ),
     )
@@ -268,6 +279,20 @@ def _number(value, what: str) -> float:
     return out
 
 
+def _numbers(values: list, what: str) -> list[float]:
+    """_number of each value: the list is checked in bulk, and walked one
+    value at a time only to name the first bad one."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            out = list(map(float, values))
+        except OverflowError:  # an int past double range
+            pass
+        else:
+            if all(map(math.isfinite, out)):
+                return out
+    return [_number(v, what) for v in values]
+
+
 def load_custom(source) -> SeriesSpec:
     """Build a custom series from a JSON document.
 
@@ -302,9 +327,7 @@ def load_custom(source) -> SeriesSpec:
         None if doc.get(key) is None else _number(doc[key], f'"{key}"')
         for key in ("x", "exact")
     )
-    return _custom(
-        [_number(c, "each coefficient") for c in coeffs], x=x, exact=exact
-    )
+    return _custom(_numbers(coeffs, "each coefficient"), x=x, exact=exact)
 
 
 def _running_sums(spec: SeriesSpec) -> Iterator[float]:
@@ -330,6 +353,15 @@ def _product_up(a: float, b: float) -> float:
     """a * b rounded up, for a, b >= 0: never below the exact product,
     even where it underflows, and 0.0 only when a or b is."""
     return math.nextafter(a * b, math.inf) if a and b else 0.0
+
+
+def _scaled_coefficient(part, f: tuple[int, int]):
+    """The coefficient function k -> f * part(k) of a rational part, with
+    numerators and denominators multiplied: a _Constant or _Reciprocal
+    scales its own pair, a _Table each of its pairs."""
+    if isinstance(part, _Table):
+        return _Table(tuple(map(mul, f, pair)) for pair in part)
+    return type(part)(map(mul, f, part))
 
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
@@ -370,13 +402,7 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
         rational = tuple(
             (
                 x,
-                # c * part(k): numerators and denominators multiplied;
-                # a _Constant or _Reciprocal scales its own pair.
-                type(part)(map(mul, c.as_integer_ratio(), part))
-                if isinstance(part, tuple)
-                else lambda k, f=c.as_integer_ratio(), part=part: (
-                    tuple(map(mul, f, part(k)))
-                ),
+                _scaled_coefficient(part, c.as_integer_ratio()),
                 _product_up(abs(c), top),
                 end if c else 0,
             )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
 from operator import and_, le, mul
 from typing import Iterator, Optional, Sequence
@@ -161,7 +162,11 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
     the last order before a part's coefficients end; for |x| <= 1 it is
     1.  S is taken from where the large coefficients sit: each part's
     top times the weight, if below 1, at the first order whose
-    coefficient is within a factor 4 of top.
+    coefficient is within a factor 4 of top; and, for a part whose
+    weights still rise at its last order (end - 1 <= k*, end <= n), its
+    last term |c(end-1)| W(end-1), two bits lower, since the terms
+    before it are smaller (600 ones at x = -2 and n = 2000: 88 bits,
+    not 541).
     """
     ln2 = math.log(2.0)
     log_w, big, scale = 0.0, -math.inf, -math.inf  # log2 of W, B and S
@@ -177,6 +182,11 @@ def _fixed_bits(spec: SeriesSpec, n: int) -> int:
         if r > 1.0:
             k = min(end - 1, int(n * (1.0 - 1.0 / r)))
             log_w = max(log_w, weight(k), weight(min(end - 1, k + 1)))
+            if k == end - 1 and end <= n:  # still rising at its last order
+                num, den = c(k)
+                if num:
+                    last = math.log2(abs(num)) - math.log2(den) + weight(k)
+                    scale = max(scale, last - 2)
         lb = math.log2(top)
         big = max(big, lb)
         at = 0
@@ -231,11 +241,12 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     ap = abs(p)
     odd = 1 if p < 0 else 0  # the sign of x**k flips with k
     const = isinstance(c, _Constant)
+    # The pairs c(0), c(1), ... in order: a _Table's own, c/k's built at C
+    # speed; a call per order would cost about twice as much.
+    pairs = c
     if isinstance(c, _Reciprocal):
-        # The same c(k) = c/k by a plain function: a call through the
-        # class's __call__ costs about twice as much, once an order.
-        cn, cd = c
-        c = lambda k: (cn, cd * k) if k else (0, 1)
+        pairs = chain([(0, 1)], zip(repeat(c[0]), map(mul, repeat(c[1]), count(1))))
+    next_pair = None if const else iter(pairs).__next__
     # k* = the number of ratios (n-j+1)|p| / (n*q) >= 1, j = 1..n.
     peak = min(n, max(0, n + 1 + (-n * q // ap))) if ap else 0
     end = min(end, n + 1)
@@ -247,7 +258,7 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
         if const:
             sums[k & odd] += t
         else:
-            num, den = c(k)
+            num, den = next_pair()
             if num:
                 u = t if num == 1 or num == -1 else t * abs(num)
                 if den != 1:
@@ -284,6 +295,14 @@ def _transient_log2(x: float, n: int) -> float:
     return 0.5 * math.log2(2.0 * math.pi * n) + lg + math.log2(math.e) / (12 * n) + 1
 
 
+@lru_cache(maxsize=64)
+def _ln2(digits: int) -> Decimal:
+    """ln 2 correctly rounded to digits digits, computed once per
+    precision: decimal's ln takes about 60 us at 38 digits (2 CPUs,
+    Python 3.11), and a sweep needs few precisions."""
+    return Context(prec=digits).ln(2)
+
+
 def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     """(V, err) with |T * 2**-e - V| <= err, for T as in _transient_log2
     and |T| * 2**-e <= 2**b.
@@ -292,18 +311,22 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     the Stirling series sum_k B_2k / (2k (2k-1) n**(2k-1)), stopped
     before its first term below 2**-(b+6), is off by less than that term
     (DLMF 5.11(ii): for n > 0 the remainder is below the first term left
-    out).  Then |T| * 2**-e = sqrt(n) * exp(y) * 2**-e with
-    y = ln(2 pi) / 2 + n (ln|x| - 1) + n/x + sigma.  decimal rounds ln,
-    exp, sqrt and the four operations correctly, to within eps/2 of the
-    result, eps = 10**(1-D).  Each result is below Y = n (|ln|x|| + 2) + 2
-    and an error in ln|x| (or in |x|, rounded to D digits first) is
-    multiplied by n <= Y, so each of the N <= 70 operations that make y
-    moves it by at most eps Y; D digits make N Y eps <= 2**-(b+6), and
-    _HALF_LN_2PI is off by less than 2**-(b+6) for b up to 392.  So y is
-    off by a <= 3 * 2**-(b+6), and the computed value, after three more
-    roundings (exp, sqrt and their product; the scaling by 2**-e is done
-    exactly, in integers), by a relative 2 (a + 2 eps) < 2**-(b+2) of at
-    most 2**b: a quarter unit, and less than two once floored.
+    out).  Then |T| * 2**-e = sqrt(n) * exp(y - e ln 2) with
+    y = ln(2 pi) / 2 + n (ln|x| - 1) + n/x + sigma, scaled inside decimal
+    so that exp gives a number of about b bits, not of log2|T|.  decimal
+    rounds ln, exp, sqrt and the four operations correctly, to within
+    eps/2 of the result, eps = 10**(1-D).  Each result is below
+    Y = n (|ln|x|| + 2) + 2 + |e|, an error in ln|x| (or in |x|, rounded
+    to D digits first) is multiplied by n <= Y and one in ln 2 by
+    |e| <= Y, so each of the N <= 70 operations that make y - e ln 2 (at
+    most 58 for sigma, 8 more for y, then ln 2, its product with e and
+    the difference) moves it by at most eps Y; D digits make
+    N Y eps <= 2**-(b+6), and _HALF_LN_2PI is off by less than
+    2**-(b+6) for b up to 392.  So y - e ln 2 is off by
+    a <= 3 * 2**-(b+6), and the computed value, after three more
+    roundings (exp, sqrt and their product), by a relative
+    2 (a + 2 eps) < 2**-(b+2) of at most 2**b: a quarter unit, and less
+    than two once floored.
     When b + 6 is past _HALF_LN_2PI's digits, or no Stirling term up to
     B_60 falls below 2**-(b+6) (n of about 12 and below at b = 96), V is
     0 and err is 2**b.
@@ -312,7 +335,7 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     if _HALF_LN_2PI_ERROR > tol:
         return 0, 1 << b
     bern = _bernoulli()[0]
-    y_max = n * (abs(math.log(abs(x))) + 2) + 2
+    y_max = n * (abs(math.log(abs(x))) + 2) + 2 + abs(e)
     digits = len(str(70 * math.ceil(y_max))) + math.ceil(-tol * math.log10(2)) + 1
     ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
     sigma = 0
@@ -327,8 +350,9 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     # |x| rounded to D digits first: ln of a 50-digit x can take twice as long.
     y = ctx.multiply(n, ctx.subtract(ctx.ln(ctx.plus(Decimal(abs(x)))), 1))
     y = ctx.add(ctx.add(y, ctx.divide(n, Decimal(x))), ctx.add(sigma, _HALF_LN_2PI))
+    y = ctx.subtract(y, ctx.multiply(e, _ln2(digits)))
     num, den = ctx.multiply(ctx.exp(y), ctx.sqrt(n)).as_integer_ratio()
-    v = (num << -e) // den if e < 0 else num // (den << e)
+    v = num // den
     return (-v if x < 0 and n & 1 else v), 2
 
 
@@ -626,11 +650,32 @@ def _settled_sum(spec: SeriesSpec, n: int) -> Optional[float]:
     stay within rho, as they do for geometric and log-type terms.  A
     term or sum that is not finite means not settled; so does a series
     marked asymptotic only.
+
+    A series whose rational form is one part (x, c, _, _) with |x| >= 1
+    is ruled out without reading a term when, at k = n//2, c(k) or
+    c(k+1) is 0 or |x| |c(k+1) / c(k)| >= 1 + 2**-40 (in integers): then
+    the first pair of the window has |a_k| = 0, a term that is not
+    finite, or |a_(k+1)| >= |a_k| (SeriesSpec states the stream's
+    accuracy), and the ratio test stops there.  Nothing wider is ruled
+    out: parts can cancel (geometric -1.5 and 0.5 weighted 1e-300 and 1
+    settle at n = 400), coefficients can fall faster than x**k grows
+    (custom 0.1**k at x = 2 settles at n = 200), and at |x| < 1 x**k can
+    leave the normal range, where a rounding is no longer a few ulps.
     """
     if spec.asymptotic_only:
         return None
+    k = n // 2
+    if spec.rational and len(spec.rational) == 1:
+        x, c, _, _ = spec.rational[0]
+        (num, den), (num1, den1) = c(k), c(k + 1)
+        p, q = x.as_integer_ratio()
+        if abs(p) >= q and (
+            not num * num1
+            or abs(p * num1 * den) << 40 >= ((1 << 40) + 1) * q * den1 * abs(num)
+        ):
+            return None
     rho = 0.0
-    window = islice(spec.terms(), n // 2, n + 1)
+    window = islice(spec.terms(), k, n + 1)
     prev = abs(next(window))
     for t in window:
         cur = abs(t)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import islice
 
@@ -353,24 +354,50 @@ class TestCustomSeries:
         s = catalog_lookup("custom", coefficients=[1, 1], x=0.5)
         assert head(s, 2)[1] == 0.5
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            "not json at all {",
-            '{"x": 1.0}',
-            '{"coefficients": "nope"}',
-            '{"coefficients": [1, 1], "x": "abc"}',
-            '{"coefficients": [1, 1], "exact": "abc"}',
-            '{"coefficients": [1, true]}',
-            '{"coefficients": [1, 1], "x": false}',
-            '{"coefficients": [1, 1], "exact": true}',
-            '{"coefficients": [1, NaN]}',
-            '{"coefficients": [1, 1], "x": Infinity}',
-        ],
-    )
+    # Each malformed document and its message.
+    MALFORMED = {
+        "not json at all {": "cannot read not json at all {: "
+        + str(FileNotFoundError(2, os.strerror(2), "not json at all {")),
+        '{"x": 1.0}': 'custom series needs a "coefficients" list',
+        '{"coefficients": "nope"}': '"coefficients" must be a list of numbers',
+        '{"coefficients": [1, 1], "x": "abc"}': "\"x\" must be a number, got 'abc'",
+        '{"coefficients": [1, 1], "exact": "abc"}': (
+            "\"exact\" must be a number, got 'abc'"
+        ),
+        '{"coefficients": [1, true]}': "each coefficient must be a number, got True",
+        '{"coefficients": [1, 1], "x": false}': '"x" must be a number, got False',
+        '{"coefficients": [1, 1], "exact": true}': '"exact" must be a number, got True',
+        '{"coefficients": [1, NaN]}': "each coefficient must be finite, got nan",
+        '{"coefficients": [1, 1], "x": Infinity}': '"x" must be finite, got inf',
+    }
+
+    @pytest.mark.parametrize("doc", list(MALFORMED))
     def test_malformed(self, doc):
-        with pytest.raises(SeriesFormatError):
+        with pytest.raises(SeriesFormatError) as info:
             load_custom(doc)
+        assert str(info.value) == self.MALFORMED[doc]
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ("true", "a number, got True"),
+            ('"2"', "a number, got '2'"),
+            ("NaN", "finite, got nan"),
+            ("1" + "0" * 399, "finite, got 1" + "0" * 399),
+        ],
+        ids=["true", "string", "nan", "400-digit-int"],
+    )
+    def test_only_the_last_of_many_is_bad(self, last, message):
+        # The list is checked in bulk; the message still names the value.
+        doc = '{"coefficients": [' + "1.5, 2, " * 299 + "1.5, " + last + "]}"
+        with pytest.raises(SeriesFormatError) as info:
+            load_custom(doc)
+        assert str(info.value) == "each coefficient must be " + message
+
+    def test_int_and_float_coefficients_are_floats(self):
+        spec = load_custom({"coefficients": [1, 2.5, -3, 10**300]})
+        assert head(spec, 5) == [1.0, 2.5, -3.0, 1e300, 0.0]
+        assert [type(t) for t in head(spec, 4)] == [float] * 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SeriesFormatError):

@@ -39,6 +39,7 @@ from chisum.summation import (
     _HALF_LN_2PI,
     _kernel,
     _reciprocal_part,
+    _settled_sum,
     _transient,
     _transient_log2,
     abel_estimate,
@@ -560,6 +561,14 @@ class TestExactKernelOracle:
             kernel(huge, 5)
 
 
+def past_one():
+    """x in [-4.2, -1) or (1, 4]."""
+    return st.one_of(
+        st.floats(min_value=-4.2, max_value=-1.0, exclude_max=True),
+        st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+    )
+
+
 def boundary_leaf(x_geometric, x_log1p):
     """geometric and log1p_taylor on the given x, and custom series of up
     to 40 coefficients on x in [-4, 4]."""
@@ -726,6 +735,44 @@ class TestFixedKernel:
         monkeypatch.setattr("chisum.summation._exact_sum", None)
         assert chi_sum(spec, n) == chi_limit(spec, n) == want
 
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+        st.one_of(past_one(), st.floats(-4.0, 4.0)),
+        st.integers(min_value=1, max_value=2000),
+        st.booleans(),
+    )
+    # Their last two terms cancel exactly (n / (n - 5) = 3/2), leaving 0,
+    # 1e-30 or 1e-10 of each: two or three passes, then the tree for 0.
+    @example([0.0] * 5 + [1.0, -0.75], 2.0, 15, False)
+    @example([1e-30] * 5 + [1.0, -0.75], 2.0, 15, False)
+    @example([1e-10] * 5 + [1.0, -0.75], 2.0, 15, False)
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_tables_equal_the_product_tree(self, cs, x, n, cancel):
+        # Past twice their length, where for |x| >= 2 the weights still
+        # rise at the last coefficient and _fixed_bits guesses the scale
+        # from that term; a tail whose last two terms cancel makes the
+        # guess too large.
+        n = max(n, 2 * len(cs))
+        if cancel and x:
+            m = len(cs)  # c(m) (n)_m x**m = -c(m-1) (n)_(m-1) x**(m-1)
+            cs = [*cs, -cs[-1] * n / (x * (n - m + 1))]
+        spec = load_custom({"coefficients": cs, "x": x})
+        self.same(spec, n, chi_sum, chi_limit, fixed_point)
+
+    def test_truncated_ones_settle_at_one_small_precision(self, monkeypatch):
+        # The last term sets the scale: 88 bits, not the 541 that the
+        # largest weight alone would ask for.
+        spec = load_custom({"coefficients": [1.0] * 600, "x": -2.0})
+        want = _exact_sum(spec, 2000)
+        passes = []
+        monkeypatch.setattr(
+            "chisum.summation._fixed_part",
+            lambda *a: passes.append(a[-1]) or _fixed_part(*a),
+        )
+        monkeypatch.setattr("chisum.summation._exact_sum", None)
+        assert chi_sum(spec, 2000) == want
+        assert passes == [88]
+
     def test_a_top_past_double_range_goes_to_the_tree_at_once(self, monkeypatch):
         # 1e10 * 1e300 leaves double range, so the part's top is inf and no
         # precision can be sized from it; the sum itself is in range.
@@ -735,14 +782,6 @@ class TestFixedKernel:
         want = _exact_sum(spec, 2000)
         monkeypatch.setattr("chisum.summation._fixed_part", None)
         assert chi_sum(spec, 2000) == want == 1.0010004994984988e307
-
-
-def past_one():
-    """x in [-4.2, -1) or (1, 4]."""
-    return st.one_of(
-        st.floats(min_value=-4.2, max_value=-1.0, exclude_max=True),
-        st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
-    )
 
 
 @st.composite
@@ -784,6 +823,9 @@ class TestClosedForm:
         st.integers(min_value=1, max_value=3000),
         st.sampled_from([8, 96, 192, 384]),
     )
+    @example(1e300, 2000, 96)
+    @example(-1e300, 2001, 96)
+    @example(1e100, 2000, 384)
     @settings(max_examples=100, deadline=None)
     def test_transient_within_its_bound(self, x, n, bits):
         # T = n! (x/n)**n e**(n/x) at the unit _closed_part gives it,
@@ -854,6 +896,13 @@ class TestClosedForm:
         with pytest.raises(NumericError, match=message):
             chi_sum(catalog_lookup("geometric", x=x), 2000)
         assert calls == ["_closed_part"]
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1e100])
+    def test_overflow_at_huge_x(self, x):
+        # T has about 2 million bits here; it is scaled before it becomes
+        # an integer.
+        with pytest.raises(NumericError, match="^weighted sum overflows at order 2000$"):
+            chi_sum(catalog_lookup("geometric", x=x), 2000)
 
     def test_half_ln_2pi_is_within_its_stated_error(self):
         with mpmath.workdps(140):
@@ -1225,6 +1274,67 @@ class TestRichardson:
             richardson_accelerate(1.0, 10, 2.0, 10)
 
 
+def stream_settled_sum(spec, n):
+    """_settled_sum by the ratio test over the term stream alone, without
+    ruling a series out from its rational form: the oracle for that
+    shortcut."""
+    if spec.asymptotic_only:
+        return None
+    rho = 0.0
+    window = islice(spec.terms(), n // 2, n + 1)
+    prev = abs(next(window))
+    for t in window:
+        cur = abs(t)
+        if not 0.0 < cur < prev < math.inf:
+            return None
+        rho = max(rho, cur / prev)
+        prev = cur
+    s = partial_sums(spec, n)[-1]
+    if not math.isfinite(s) or prev * rho / (1.0 - rho) > 0.5 * math.ulp(s):
+        return None
+    return s
+
+
+def settle_x():
+    """x where the shortcut is sharp: within 2**-38 of +-1, +-1 itself,
+    past one, large enough that terms overflow, and inside (-1, 1)."""
+    near = 2.0**-38
+    return st.one_of(
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=1.0, max_value=1.0 + near),
+        st.floats(min_value=-1.0 - near, max_value=-1.0),
+        past_one(),
+        st.builds(mul, st.sampled_from([1.0, -1.0]), st.floats(1e2, 1e300)),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+
+
+@st.composite
+def settle_series(draw, n):
+    """A series of one rational part at order n: geometric, log1p_taylor,
+    or a custom table whose coefficients may be zero at n//2 or n//2 + 1
+    or fall geometrically; maybe scaled by a one-series combine."""
+    x = draw(settle_x())
+    kind = draw(st.sampled_from(["geometric", "log1p_taylor", "custom", "falling"]))
+    if kind in ("geometric", "log1p_taylor"):
+        spec = catalog_lookup(kind, x=x)
+    else:
+        size = draw(st.integers(min_value=0, max_value=2 * n + 2))
+        if kind == "falling":
+            r = draw(st.floats(min_value=1e-3, max_value=1.0))
+            coeffs = [r**k for k in range(size)]
+        else:
+            value = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.just(1.0))
+            coeffs = draw(st.lists(value, min_size=size, max_size=size))
+        for k in draw(st.sets(st.sampled_from([n // 2, n // 2 + 1]))):
+            if k < len(coeffs):
+                coeffs[k] = 0.0
+        spec = load_custom({"coefficients": coeffs, "x": x})
+    if draw(st.booleans()):
+        spec = combine([spec], [draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))])
+    return spec
+
+
 class TestSettledSumFastPath:
     """accelerate=True reports the ordinary sum once it has settled."""
 
@@ -1292,6 +1402,76 @@ class TestSettledSumFastPath:
         assert r.approximants == (2.978085106126964e154, 4.997541475244785e307)
         assert not r.accelerated
         assert r.value == r.approximants[-1]
+
+    # At |x| < 1, x**2 = 1.4 * 2**-1074 rounds to 2**-1074: the exact
+    # terms grow by 1 + 2**-30, the stream's fall, and s_2 = 1 settles.
+    TINY_X = math.sqrt(1.4) * 2.0**-537
+    # Ratios 1 - 2**-45: below 1 + 2**-40, and the stream settles.
+    SLOW = [1.0] + [1e-40 * (1.0 - k * 2.0**-45) for k in range(1, 10)]
+
+    @given(st.data())
+    # n = 1..3 at x = +-1 and -3, the first terms overflowing, and the two
+    # cases above, which settle.
+    @example(None)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_ratio_test_over_the_stream(self, data):
+        if data is None:
+            cases = [
+                (catalog_lookup(name, x=x), n)
+                for name in ("geometric", "log1p_taylor")
+                for x in (1.0, -1.0, -3.0, 1e300)
+                for n in (1, 2, 3)
+            ]
+            tiny = [1.0, 1.0, (1.0 + 2.0**-30) / self.TINY_X]
+            cases += [
+                (load_custom({"coefficients": tiny, "x": self.TINY_X}), 2),
+                (load_custom({"coefficients": self.SLOW}), 4),
+            ]
+            assert [_settled_sum(*case) for case in cases[-2:]] == [1.0, 1.0]
+        else:
+            n = data.draw(st.integers(min_value=1, max_value=120))
+            cases = [(data.draw(settle_series(n)), n)]
+        for spec, n in cases:
+            assert repr(_settled_sum(spec, n)) == repr(stream_settled_sum(spec, n))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            catalog_lookup("geometric", x=-3.0),
+            catalog_lookup("log1p_taylor", x=3.0),
+            load_custom({"coefficients": [1.0] * 600, "x": -2.0}),
+        ],
+        ids=["geometric", "log1p_taylor", "custom"],
+    )
+    def test_a_growing_part_reads_no_term(self, spec):
+        assert _settled_sum(dataclasses.replace(spec, terms=None), 2000) is None
+
+    @pytest.mark.parametrize(
+        "spec, grid, want",
+        [
+            # Two parts: the first grows, but its weight is 1e-300.
+            (
+                combine(
+                    [catalog_lookup("geometric", x=-1.5), catalog_lookup("geometric", x=0.5)],
+                    [1e-300, 1.0],
+                ),
+                (100, 200, 400),
+                2.0,
+            ),
+            # One part past |x| = 1 whose coefficients fall faster.
+            (
+                load_custom({"coefficients": [0.1**k for k in range(300)], "x": 2.0}),
+                (50, 100, 200),
+                1.25,
+            ),
+        ],
+        ids=["two-parts", "falling-coefficients"],
+    )
+    def test_settles_where_a_part_grows_past_one(self, spec, grid, want):
+        # Neither may be ruled out from its rational form.
+        assert _settled_sum(spec, grid[-1]) == want
+        r = chi_sweep(spec, grid, accelerate=True)
+        assert r.accelerated and r.value == want
 
     @pytest.mark.parametrize("x", [0.9, -2.0])
     def test_approximants_unchanged(self, x):
