@@ -28,8 +28,9 @@ from typing import Optional, Sequence
 import mpmath  # noqa: F401
 import numpy  # noqa: F401
 
-# predicted_error is not called here, but bench/spans.py wraps it under
-# this module's name, so the binding stays.
+# Neither is called here: chisum.summation.chi_sweep decides every error
+# number a command prints.  bench/spans.py wraps both under this module's
+# name, so the bindings stay.
 from .error_model import observed_error, predicted_error  # noqa: F401
 from .exceptions import DomainError, SeriesFormatError
 from .series import CATALOG_NAMES, catalog_lookup, load_custom
@@ -168,13 +169,11 @@ def _cmd_sum(args) -> dict:
         results["accelerated"] = True
     if spec.exact_value is not None:
         results["exact"] = spec.exact_value
-        error = observed_error(result.approximants[-1], spec.exact_value)
-        if math.isfinite(error):  # a difference of two doubles may overflow
-            results["observed_error"] = error
-    if result.error is not None:
-        results["predicted_error"] = result.error.predicted
-        if result.error.ratio is not None:
-            results["error_ratio"] = result.error.ratio
+    err = result.error
+    for key, value in (("observed_error", err.observed),
+                       ("predicted_error", err.predicted), ("error_ratio", err.ratio)):
+        if value is not None:
+            results[key] = value
     for method in methods:
         try:
             results[method] = _COMPARE[method](spec, n_last)
@@ -189,7 +188,7 @@ def _cmd_sum(args) -> dict:
             "n_grid": list(grid),
         },
         "results": results,
-        "verdict": result.verdict if len(grid) >= 3 else None,
+        "verdict": result.verdict,
         "rows": {
             "header": ["n", "approximant"],
             "data": [[n, v] for n, v in zip(grid, result.approximants)],

@@ -26,15 +26,15 @@ __all__ = ["ErrorEstimate", "RateFit", "predicted_error", "observed_error", "rat
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Predicted leading error, optionally paired with the observed one."""
+    """Predicted leading error and observed error, each None where unknown."""
 
-    predicted: float
+    predicted: Optional[float] = None
     observed: Optional[float] = None
 
     @property
     def ratio(self) -> Optional[float]:
-        """observed / predicted; None without observed, or where predicted is 0."""
-        if self.observed is None or self.predicted == 0.0:
+        """observed / predicted; None without either, or where predicted is 0."""
+        if self.observed is None or not self.predicted:
             return None
         return self.observed / self.predicted
 

@@ -97,13 +97,13 @@ _HALF_LN_2PI_ERROR = -120 * math.log2(10)  # log2 of that distance
 
 @dataclass(frozen=True)
 class ChiResult:
-    """Approximant history over an n-grid with a convergence verdict."""
+    """An n-grid's approximants, value, verdict and error, as chi_sweep sets them."""
 
     n_grid: tuple[int, ...]
     approximants: tuple[float, ...]
     value: float
-    verdict: str
-    error: Optional[ErrorEstimate] = None
+    verdict: Optional[str]
+    error: ErrorEstimate
     accelerated: bool = False
 
 
@@ -210,9 +210,9 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     runs as t_0 = 2**P and t_k = floor(t_{k-1} * r_k), with the ratio
     r_k = (n-k+1)|p| / (n*q) taken as // n and >> log2 q, and A adds
     +-floor(t_k * |num| / den) for c(k) = (num, den).  A constant c (a
-    series._Constant) is read once: the loop adds +-t_k,
-    and each signed sum is multiplied by |num| and floored by den at the
-    end.  While the weights grow (the first k* ratios are >= 1) a t_k
+    series._Constant) is read once: the loop sums the weights +-t_k
+    alone, as the part (x, 1, 1, end), and _scaled multiplies that sum
+    by c.  While the weights grow (the first k* ratios are >= 1) a t_k
     past P + _RENORM bits is cut back to P bits, and the sums with it, so
     the unit is 2**e with e the bits cut less P; from k* on the weights
     only fall and no cut happens.
@@ -226,9 +226,8 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     k*, each t_j >= 2**(P-1), so every weight is low by a relative
     rho <= k* * 2**(1-P); past k*, the ratios are <= 1 and each floor adds
     at most one unit, so weight k is low by rho times itself plus
-    k - k* units.  A term's own floor, or a constant c's two final ones,
-    adds less than one unit each, and each cut of the two sums less than
-    two, times |c| for a constant c.  With B = top >= |c(k)|, and
+    k - k* units.  A term's own floor adds less than one unit, and each
+    cut of the two sums less than two.  With B = top >= |c(k)|, and
     ceil(B) >= 1 unless every c(k) is 0, E <= rho * (exact absolute sum)
     + R, where R = ceil(B) (m (m+1)/2 + 2 cuts) + (n+1) and m = end-1-k*
     counts the orders read past k*; the exact absolute sum is at most
@@ -241,6 +240,7 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
     ap = abs(p)
     odd = 1 if p < 0 else 0  # the sign of x**k flips with k
     const = isinstance(c, _Constant)
+    top = 1.0 if const else top  # a constant part sums its weights alone
     # The pairs c(0), c(1), ... in order: a _Table's own, c/k's built at C
     # speed; a call per order would cost about twice as much.
     pairs = c
@@ -275,14 +275,11 @@ def _fixed_part(part, n: int, bits: int) -> tuple[int, int, int]:
         elif not t:
             break
     pos, neg = sums
-    if const:
-        num, den = c
-        pos, neg = pos * abs(num) // den, neg * abs(num) // den
-        if num < 0:
-            pos, neg = neg, pos
     m = max(0, end - 1 - peak)
     rest = math.ceil(top) * (m * (m + 1) // 2 + 2 * cuts) + n + 1
     err = (peak * (pos + neg) >> (bits - 2)) + 1 + 2 * rest
+    if const:
+        return _scaled(pos - neg, err, *c, cut - bits)
     return pos - neg, err, cut - bits
 
 
@@ -707,14 +704,17 @@ def chi_sweep(
       corrupts it);
     - the last raw approximant.
     accelerated says whether one of the first two was taken; approximants
-    are the same with or without accelerate.  An order that is not an
-    integer, or is below 1, raises DomainError.
+    are the same with or without accelerate.  The verdict is None below
+    three orders; error.observed is exact - the last approximant where
+    the exact value is known and the difference finite, error.predicted
+    the leading error at the last order where f''(x) and x are known.  A
+    non-integer order, or one below 1, raises DomainError.
     """
     grid = tuple(map(_order, n_grid))
     if not grid or any(b <= a for a, b in pairwise(grid)):
         raise DomainError("n-grid must be nonempty and strictly increasing")
     approx = tuple(chi_sum(spec, n) for n in grid)
-    verdict = classify_convergence(approx, grid) if len(grid) >= 3 else INCONCLUSIVE
+    verdict = classify_convergence(approx, grid) if len(grid) >= 3 else None
     value = None
     if accelerate:
         value = _settled_sum(spec, grid[-1])
@@ -729,22 +729,22 @@ def chi_sweep(
     if not accelerated:
         value = approx[-1]
 
-    error = None
+    predicted = observed = None
     if spec.second_derivative is not None and spec.x is not None:
         # Every catalog, custom and combined series is a power series
         # about 0, so that is the base point.
         predicted = predicted_error(spec.second_derivative, spec.x, 0.0, grid[-1])
-        observed = None
-        if spec.exact_value is not None:
-            observed = observed_error(approx[-1], spec.exact_value)
-        error = ErrorEstimate(predicted=predicted, observed=observed)
+    if spec.exact_value is not None:
+        observed = observed_error(approx[-1], spec.exact_value)
+        if not math.isfinite(observed):  # a difference of two doubles may overflow
+            observed = None
 
     return ChiResult(
         n_grid=grid,
         approximants=approx,
         value=value,
         verdict=verdict,
-        error=error,
+        error=ErrorEstimate(predicted=predicted, observed=observed),
         accelerated=accelerated,
     )
 

@@ -36,7 +36,7 @@ __all__ = [
     "chi_row",
     "averaging_row",
     "verify_toeplitz",
-    "exp_approx_gap",
+    "exp_approx_gap",  # only tests call it; it checks the limit behind the weights
 ]
 
 

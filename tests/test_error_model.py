@@ -88,8 +88,12 @@ class TestErrorEstimate:
         e = ErrorEstimate(predicted=0.3, observed=0.5)
         assert e.ratio == 0.5 / 0.3
 
-    def test_no_ratio_without_observed(self):
-        assert ErrorEstimate(predicted=1.0).ratio is None
+    @pytest.mark.parametrize(
+        "estimate",
+        [ErrorEstimate(predicted=1.0), ErrorEstimate(observed=0.5), ErrorEstimate()],
+    )
+    def test_no_ratio_without_both(self, estimate):
+        assert estimate.ratio is None
 
     def test_zero_predicted_has_no_ratio(self):
         e = ErrorEstimate(predicted=0.0, observed=0.5)

@@ -746,6 +746,8 @@ class TestFixedKernel:
     @example([0.0] * 5 + [1.0, -0.75], 2.0, 15, False)
     @example([1e-30] * 5 + [1.0, -0.75], 2.0, 15, False)
     @example([1e-10] * 5 + [1.0, -0.75], 2.0, 15, False)
+    # At a subnormal x the cancelling coefficient is past double range.
+    @example([1.0], 2.225073858507e-311, 1, True)
     @settings(max_examples=100, deadline=None)
     def test_truncated_tables_equal_the_product_tree(self, cs, x, n, cancel):
         # Past twice their length, where for |x| >= 2 the weights still
@@ -753,9 +755,9 @@ class TestFixedKernel:
         # from that term; a tail whose last two terms cancel makes the
         # guess too large.
         n = max(n, 2 * len(cs))
-        if cancel and x:
-            m = len(cs)  # c(m) (n)_m x**m = -c(m-1) (n)_(m-1) x**(m-1)
-            cs = [*cs, -cs[-1] * n / (x * (n - m + 1))]
+        m = len(cs)  # c(m) (n)_m x**m = -c(m-1) (n)_(m-1) x**(m-1)
+        if cancel and x and math.isfinite(last := -cs[-1] * n / (x * (n - m + 1))):
+            cs = [*cs, last]
         spec = load_custom({"coefficients": cs, "x": x})
         self.same(spec, n, chi_sum, chi_limit, fixed_point)
 
@@ -826,6 +828,8 @@ class TestClosedForm:
     @example(1e300, 2000, 96)
     @example(-1e300, 2001, 96)
     @example(1e100, 2000, 384)
+    # b + 6 past _HALF_LN_2PI's digits: V = 0 and err = 2**b.
+    @example(1e100, 2000, 400)
     @settings(max_examples=100, deadline=None)
     def test_transient_within_its_bound(self, x, n, bits):
         # T = n! (x/n)**n e**(n/x) at the unit _closed_part gives it,
@@ -1246,10 +1250,30 @@ class TestSweepAndClassification:
 
     def test_error_estimate_attached(self):
         r = chi_sweep(catalog_lookup("geometric", x=-2.0), (10, 20, 40))
-        assert r.error is not None
         assert r.error.predicted == pytest.approx((2 / 27) * 4 / 80, rel=1e-12)
-        assert r.error.observed is not None
+        assert r.error.observed == 1 / 3 - r.approximants[-1]
+        assert r.error.ratio == r.error.observed / r.error.predicted
         assert r.error.ratio == pytest.approx(1.0, abs=0.25)
+
+    def test_observed_error_without_a_predictor(self):
+        # alt_log has an exact value but no second derivative.
+        spec = catalog_lookup("alt_log")
+        r = chi_sweep(spec, (100, 200, 400))
+        assert r.error.observed == spec.exact_value - r.approximants[-1]
+        assert r.error.predicted is None
+        assert r.error.ratio is None
+
+    def test_no_observed_error_past_double_range(self):
+        # exact - approximant overflows although both are finite.
+        spec = load_custom({"coefficients": [1.7e308], "exact": -1.7e308})
+        r = chi_sweep(spec, (1,))
+        assert r.approximants == (1.7e308,)
+        assert r.error.observed is None
+
+    @pytest.mark.parametrize("grid", [(10,), (10, 20)])
+    def test_no_verdict_below_three_orders(self, grid):
+        r = chi_sweep(catalog_lookup("geometric", x=-2.0), grid)
+        assert r.verdict is None
 
 
 class TestRichardson:
