@@ -6,6 +6,11 @@ SeriesFormatError -> 3, NumericError (and subclasses) -> 4.
 
 from operator import index
 
+__all__ = [
+    "DomainError", "UnknownSeriesError", "SeriesFormatError", "NumericError",
+    "AbelRadiusError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's stated domain."""

@@ -336,7 +336,7 @@ def _transient(x: float, n: int, e: int, b: int) -> tuple[int, int]:
     digits = len(str(70 * math.ceil(y_max))) + math.ceil(-tol * math.log10(2)) + 1
     ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
     sigma = 0
-    for k in range(1, 31):  # _bernoulli holds B_0..B_60
+    for k in range(1, len(bern) // 2 + 1):  # B_2, B_4, ..., the table's last
         num, den = bern[2 * k].as_integer_ratio()
         den *= 2 * k * (2 * k - 1) * n ** (2 * k - 1)
         if abs(num).bit_length() - den.bit_length() + 1 <= tol:  # |term| < 2**tol
@@ -797,6 +797,12 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     return _checked(mean, spec, n, f"Euler mean overflows at order {n}")
 
 
+# Abel's inner series ends once its rest falls below _ABEL_TOL of the
+# running sum, and fails after _ABEL_TERMS terms.
+_ABEL_TOL = 1e-16
+_ABEL_TERMS = 10**6
+
+
 def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:
     """A bound on sum_{j>k} |a_j| r**j from spec's rational form: each
     part (x, c, top, end) with k+1 < end adds top * z**(k+1) / (1 - z),
@@ -810,15 +816,15 @@ def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:
 def _small_pair(block: list, hi: float, before: bool) -> int:
     """The count of block's terms, summed on from hi, up to the first that
     and the term before it (for the first, `before`) are both at or below
-    1e-16 of the running sum; 0 when there is none."""
+    _ABEL_TOL of the running sum; 0 when there is none."""
     # No running sum exceeds |hi| + len * max|t|, and a pair of terms has
-    # one at an even index: when none of those is at or below twice 1e-16
-    # of that bound, the per-term scan is skipped.
+    # one at an even index: when none of those is at or below twice
+    # _ABEL_TOL of that bound, the per-term scan is skipped.
     bound = abs(hi) + len(block) * math.hypot(*block)
-    if abs(min(block[::2], key=abs)) > 2e-16 * bound:
+    if abs(min(block[::2], key=abs)) > 2 * _ABEL_TOL * bound:
         return 0
     sums = islice(accumulate(block, initial=hi), 1, None)
-    small = list(map(le, map(abs, block), map(mul, map(abs, sums), repeat(1e-16))))
+    small = list(map(le, map(abs, block), map(mul, map(abs, sums), repeat(_ABEL_TOL))))
     return next(compress(count(1), map(and_, chain((before,), small), small)), 0)
 
 
@@ -857,8 +863,8 @@ def abel_estimate(
         weighted = map(mul, spec.terms(), accumulate(repeat(r), mul, initial=1.0))
         hi = lo = 0.0
         k, m, below = 0, 2, False  # terms read, next block length, last small
-        while k < 10**6:
-            m, block, end = min(m, 10**6 - k), [], 0
+        while k < _ABEL_TERMS:
+            m, block, end = min(m, _ABEL_TERMS - k), [], 0
             try:  # extend keeps the terms read before an exception
                 block.extend(islice(weighted, m))
             except DomainError:  # a finite stream, such as bernoulli_power
@@ -879,7 +885,7 @@ def abel_estimate(
                     f"inner series overflowed at radius {r} (term {k})"
                 )
             hi, k, m = s, k + len(block), min(2 * m, 512)
-            small = 1e-16 * abs(hi)
+            small = _ABEL_TOL * abs(hi)
             below = bool(block) and abs(block[-1]) <= small
             if end or spec.rational and below and _abel_tail(spec, r, k - 1) <= small:
                 break

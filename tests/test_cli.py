@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from dataclasses import asdict
 from pathlib import Path
 
@@ -55,6 +56,29 @@ def test_only_the_cli_imports_numpy_and_mpmath():
         check=True,
     )
     assert done.stdout == "[]\n['mpmath', 'numpy']\n"
+
+
+def test_the_package_exports_its_modules_all():
+    from chisum import error_model, exceptions, series, special, summation, weights
+
+    modules = (error_model, exceptions, series, special, summation, weights)
+    public = {
+        name for name, value in vars(chisum).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name for m in modules for name in m.__all__}
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(chisum, name) is getattr(m, name), name
+    bound = {}
+    exec("from chisum.exceptions import *", bound)
+    del bound["__builtins__"]
+    classes = (
+        exceptions.DomainError, exceptions.UnknownSeriesError,
+        exceptions.SeriesFormatError, exceptions.NumericError,
+        exceptions.AbelRadiusError,
+    )
+    assert bound == {c.__name__: c for c in classes}
 
 
 class TestSumCommand:
@@ -417,24 +441,38 @@ class TestErrorCommand:
         [
             # f'' = 2 / (1 - x)**3 leaves double range at this x.
             (
-                ("--series", "geometric", "--x", "1e300"),
+                ("--series", "geometric", "--x", "1e300", "--n", "3"),
                 "series 'geometric' has no finite second derivative at x = 1e+300",
             ),
             # The pole of log(1 + x).
             (
-                ("--series", "log1p_taylor", "--x", "-1"),
+                ("--series", "log1p_taylor", "--x", "-1", "--n", "3"),
                 "series 'log1p_taylor' has no finite second derivative at x = -1.0",
             ),
             # An x, but no f'' carried at any x.
             (
-                ("--series", "bernoulli_power", "--x", "0.5"),
+                ("--series", "bernoulli_power", "--x", "0.5", "--n", "3"),
+                "series 'bernoulli_power' carries no closed-form second derivative",
+            ),
+            # Where the sweep would fail first (its sum overflows at order 2,
+            # or needs terms past B_60), the message still names the
+            # predictor.
+            (
+                ("--series", "geometric", "--x", "1e200", "--n", "2"),
+                "series 'geometric' has no finite second derivative at x = 1e+200",
+            ),
+            (
+                ("--series", "bernoulli_power", "--x", "0.5", "--n", "100"),
                 "series 'bernoulli_power' carries no closed-form second derivative",
             ),
         ],
-        ids=["geometric-overflow", "log1p-pole", "bernoulli_power"],
+        ids=[
+            "geometric-overflow", "log1p-pole", "bernoulli_power",
+            "geometric-sum-overflow", "bernoulli_power-past-its-terms",
+        ],
     )
     def test_unavailable_predictor_says_why(self, capsys, argv, message):
-        code, _ = run_cli("error", *argv, "--n", "3")
+        code, _ = run_cli("error", *argv)
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: {message}; the predictor is unavailable\n"
