@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, count, cycle, islice, repeat
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exceptions import DomainError, SeriesFormatError, UnknownSeriesError, _order
 
@@ -99,12 +99,32 @@ class _Reciprocal(tuple):
         return (self[0], self[1] * k) if k else (0, 1)
 
 
+def _first_near(pairs: Iterable[tuple[int, tuple[int, int]]], top: float) -> int:
+    """The first order k of the pairs (k, c(k)) whose coefficient is
+    within about a factor 4 of top, by the bit lengths of its numerator
+    and denominator; 0 if there is none.  summation._fixed_bits takes the
+    sum's scale from it."""
+    lb = math.log2(top) if top else 0.0  # top = 0: every c(k) is 0
+    near = (
+        k
+        for k, (num, den) in pairs
+        if num and abs(num).bit_length() - den.bit_length() >= lb - 1
+    )
+    return next(near, 0)
+
+
 class _Table(tuple):
     """The coefficients of a truncated part, one pair (numerator,
     denominator) per order, converted once; as the function k -> pair of
-    a rational part it gives (0, 1) past its end."""
+    a rational part it gives (0, 1) past its end.  near is _first_near
+    over the pairs, for the part's top, found once when the part is
+    built: a scan per sum cost 0.4 ms of a 1.3 ms chi_sum for a part
+    with one large coefficient at order 1426."""
 
-    __slots__ = ()
+    def __new__(cls, pairs: Iterable[tuple[int, int]], top: float) -> _Table:
+        table = super().__new__(cls, pairs)
+        table.near = _first_near(enumerate(table), top)
+        return table
 
     def __call__(self, k: int) -> tuple[int, int]:
         return self[k] if k < len(self) else (0, 1)
@@ -220,7 +240,7 @@ def _custom(
         exact_value=None if exact is None else float(exact),
         x=None if x is None else xv,
         rational=(
-            ((xv, _Table(map(float.as_integer_ratio, coeffs)), top, end),)
+            ((xv, _Table(map(float.as_integer_ratio, coeffs), top), top, end),)
             if finite
             else None
         ),
@@ -355,13 +375,19 @@ def _product_up(a: float, b: float) -> float:
     return math.nextafter(a * b, math.inf) if a and b else 0.0
 
 
-def _scaled_coefficient(part, f: tuple[int, int]):
-    """The coefficient function k -> f * part(k) of a rational part, with
-    numerators and denominators multiplied: a _Constant or _Reciprocal
-    scales its own pair, a _Table each of its pairs."""
-    if isinstance(part, _Table):
-        return _Table(tuple(map(mul, f, pair)) for pair in part)
-    return type(part)(map(mul, f, part))
+def _scaled_part(part, c: float):
+    """The rational part (x, coefficient, top, end) times a finite c: the
+    coefficient function k -> c * coefficient(k), with numerators and
+    denominators multiplied (a _Constant or _Reciprocal scales its own
+    pair, a _Table each of its pairs), top times |c| rounded up, and end
+    0 where c is."""
+    x, coefficient, top, end = part
+    f, top = c.as_integer_ratio(), _product_up(abs(c), top)
+    if isinstance(coefficient, _Table):
+        coefficient = _Table((tuple(map(mul, f, pair)) for pair in coefficient), top)
+    else:
+        coefficient = type(coefficient)(map(mul, f, coefficient))
+    return x, coefficient, top, end if c else 0
 
 
 def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> SeriesSpec:
@@ -399,16 +425,7 @@ def combine(specs: Sequence[SeriesSpec], coefficients: Sequence[float]) -> Serie
 
     rational = None
     if all(s.rational for s in specs) and all(map(math.isfinite, coefficients)):
-        rational = tuple(
-            (
-                x,
-                _scaled_coefficient(part, c.as_integer_ratio()),
-                _product_up(abs(c), top),
-                end if c else 0,
-            )
-            for c, s in pairs
-            for x, part, top, end in s.rational
-        )
+        rational = tuple(_scaled_part(part, c) for c, s in pairs for part in s.rational)
 
     return SeriesSpec(
         name="combined(" + ",".join(s.name for s in specs) + ")",

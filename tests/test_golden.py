@@ -72,6 +72,7 @@ Every other pin is unchanged.
 """
 
 import math
+from itertools import islice
 
 import mpmath
 import pytest
@@ -84,6 +85,7 @@ from chisum.summation import (
     chi_sum,
     euler_transform,
 )
+from oracles import euler_mean
 
 GEOMETRIC_X = (-3.59, -3.5, -3.123457, -2.0, -1.5, -1.0, -0.7, 0.5, 2.0)
 LOG1P_X = (-3.0, -2.5, 0.5, 1.5, 2.0)
@@ -345,6 +347,15 @@ def _definition_sum(term, n: int) -> str:
 def test_log1p_taylor_pin_is_the_definition_in_mpmath(case):
     label, n = case.split(" ", 1)[1].rsplit(" n=", 1)
     assert _definition_sum(DEFINITION[label], int(n)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("euler_")))
+def test_euler_pin_is_the_exact_mean(case):
+    # The correctly rounded (E,1) mean of the double terms, from
+    # math.comb and Fractions (tests/oracles.py).
+    name, n = case.split(" ", 1)[1].rsplit(" n=", 1)
+    terms = list(islice(catalog_lookup(name).terms(), int(n) + 1))
+    assert float.hex(float(euler_mean(terms))) == GOLDEN[case]
 
 
 if __name__ == "__main__":

@@ -32,6 +32,8 @@ from chisum.summation import (
     DIVERGING,
     INCONCLUSIVE,
     _closed_part,
+    _euler_fixed,
+    _euler_part,
     _exact_sum,
     _fixed_bits,
     _fixed_part,
@@ -53,6 +55,7 @@ from chisum.summation import (
 )
 from chisum.special import bernoulli_numbers, harmonic
 from chisum.weights import averaging_row, chi_row, exp_approx_gap
+from oracles import euler_mean
 
 
 def coefficient_series(coeffs):
@@ -685,6 +688,16 @@ class TestFixedKernel:
         want = _exact_sum(spec, 2000)
         monkeypatch.setattr("chisum.summation._exact_sum", None)
         assert method(spec, 2000) == want
+
+    def test_a_table_finds_its_near_order_once(self, monkeypatch):
+        # _fixed_bits reads the order a _Table found when load_custom or
+        # combine built it, and scans no coefficient; combine's scaled
+        # table finds it again for its own top.
+        spec = load_custom({"coefficients": [0.0] * 1426 + [1e300]})
+        scaled = combine([spec], [3.0])
+        monkeypatch.setattr("chisum.summation._first_near", None)
+        assert spec.rational[0][1].near == scaled.rational[0][1].near == 1426
+        assert _fixed_bits(spec, 2000) == _fixed_bits(scaled, 2000) == 1109
 
     @pytest.mark.parametrize(
         "spec, n, want",
@@ -1666,6 +1679,155 @@ class TestEulerTransform:
             euler_transform(catalog_lookup("bernoulli_power", x=0.5), 61)
         with pytest.raises(DomainError):
             euler_transform(catalog_lookup("grandi"), 0)
+
+
+def euler_outcome(terms) -> str:
+    """What euler_transform must give for these terms, from the oracle:
+    repr of the exact mean rounded once, or the NumericError message."""
+    k = next((k for k, t in enumerate(terms) if not math.isfinite(t)), None)
+    if k is not None:
+        return f"non-finite term at index {k}"
+    try:
+        return repr(float(euler_mean(terms)))
+    except OverflowError:
+        return f"Euler mean overflows at order {len(terms) - 1}"
+
+
+def euler_result(spec, n) -> str:
+    try:
+        return repr(euler_transform(spec, n))
+    except NumericError as exc:
+        return str(exc)
+
+
+# Values that put a term's exponent at either end of double range.
+EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-320, 1.0, -1.0, 0.0)
+
+
+class TestEulerOracle:
+    # euler_transform against the exact mean from math.comb (tests/oracles.py).
+    # At these orders the fixed point's band of weights at its P, about
+    # 100 bits, leaves a block of terms below it (weight 1) and one above
+    # it (weight 0); at n = 5000 the band holds about a sixth of them.
+    @pytest.mark.parametrize("n", [1024, 1100, 2000, 5000])
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("alt_log", {}),
+            ("alt_harmonic_numbers", {}),
+            ("grandi", {}),
+            ("geometric", {"x": -1.9}),
+            ("geometric", {"x": 0.9}),
+        ],
+        ids=["alt_log", "alt_harmonic_numbers", "grandi", "geometric(-1.9)", "geometric(0.9)"],
+    )
+    def test_catalog_series(self, name, params, n):
+        spec = catalog_lookup(name, **params)
+        terms = list(islice(spec.terms(), n + 1))
+        assert euler_result(spec, n) == euler_outcome(terms)
+
+    @given(
+        st.integers(min_value=150, max_value=1200),
+        st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=8),
+        st.booleans(),
+    )
+    @example(600, [1e300, 1e-300, 5e-324], True)  # huge terms below the band
+    @example(600, [1.0, 1e-300, 1e300], True)  # a huge block above it
+    @example(600, [-1.0, 1.0, 5e-324, 1e-300, 1.0], False)  # in the band
+    @settings(max_examples=60, deadline=None)
+    def test_terms_at_the_ends_of_double_range(self, n, blocks, alternate):
+        # Consecutive blocks of the terms take each value in turn, so the
+        # terms below, in and above the band mix 1e300, 1e-300 and
+        # subnormals in every way.
+        terms = [
+            blocks[i * len(blocks) // (n + 1)] * (-1.0 if alternate and i & 1 else 1.0)
+            for i in range(n + 1)
+        ]
+        assert euler_result(coefficient_series(terms), n) == euler_outcome(terms)
+
+
+def check_euler_bound(terms, bits):
+    """_euler_part's (A, E, e) for the terms at P = bits against their
+    exact mean: within E units of A at the unit 2**e.  At a few bits the
+    band of weights is narrow or empty, so this checks the bound itself,
+    not only a rounded result."""
+    a, err, e = _euler_part(terms, len(terms) - 1, bits)
+    assert abs(euler_mean(terms) * Fraction(2) ** -e - a) <= err
+
+
+@st.composite
+def euler_terms(draw):
+    """n + 1 terms: a catalog series, or doubles m 2**e with |m| < 2**53
+    and e in [-553, 347], whose exponents span no more than the kernel's
+    band can hold (about 970 binades)."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    kind = draw(st.sampled_from(("alt_log", "grandi", "geometric", "doubles")))
+    if kind == "doubles":
+        mantissa = st.integers(-(2**53) + 1, 2**53 - 1)
+        return [
+            math.ldexp(draw(mantissa), draw(st.integers(-553, 347)))
+            for _ in range(n + 1)
+        ]
+    x = draw(st.floats(-2.5, 1.0)) if kind == "geometric" else None
+    spec = catalog_lookup(kind, x=x) if x is not None else catalog_lookup(kind)
+    return list(islice(spec.terms(), n + 1))
+
+
+class TestEulerKernel:
+    @given(euler_terms(), st.integers(min_value=4, max_value=40))
+    @example([5e-324, -2.5e-320, 1e-310] * 67, 4)  # subnormals only
+    # A lone 1.7e308 past the band: its own size widens E.
+    @example([(-1.0) ** i for i in range(150)] + [1.7e308] + [0.0] * 50, 20)
+    @settings(max_examples=150, deadline=None)
+    def test_bound_holds_at_low_precision(self, terms, bits):
+        check_euler_bound(terms, bits)
+
+    @pytest.mark.parametrize("n", [250, 1024, 1500, 2000])
+    @pytest.mark.parametrize("name", ["alt_log", "alt_harmonic_numbers", "grandi"])
+    def test_settles_in_one_pass(self, monkeypatch, name, n):
+        # The benchmark's Euler series: one pass at the P _euler_fixed
+        # sizes, no exact dot.
+        passes = []
+        monkeypatch.setattr(
+            "chisum.summation._euler_part",
+            lambda *a: passes.append(a[-1]) or _euler_part(*a),
+        )
+        monkeypatch.setattr("chisum.summation._binomial_tails", None)
+        spec = catalog_lookup(name)
+        assert euler_result(spec, n) == euler_outcome(list(islice(spec.terms(), n + 1)))
+        assert len(passes) == 1
+
+    def test_cancellation_goes_to_the_exact_dot(self, monkeypatch):
+        # geometric(-1.9) at n = 1000: terms up to 1e278 and a mean of
+        # 1.3e144, sized at P = 550, past (n + 1) / 2.
+        monkeypatch.setattr("chisum.summation._euler_part", None)
+        spec = catalog_lookup("geometric", x=-1.9)
+        terms = list(islice(spec.terms(), 1001))
+        assert euler_result(spec, 1000) == euler_outcome(terms) == "1.3462879452940162e+144"
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [0.0] * 1001,
+            # 384 (1 + 2**-52): exactly halfway between two doubles.
+            [1.0 + 2.0**-52] * 768,
+            # A lone 1.7e308 at order 1500 of 2000, far above the band at
+            # the P of about 100 bits that the other terms would get; its
+            # weight, about 2**-383, makes the mean about 8e192, and its
+            # size sends P past (n + 1) / 2.
+            [(-1.0) ** i for i in range(1500)] + [1.7e308] + [0.0] * 500,
+        ],
+        ids=["zero", "halfway", "lone-1.7e308"],
+    )
+    def test_fixed_point_falls_back(self, terms):
+        n = len(terms) - 1
+        assert _euler_fixed(terms, n) is None
+        assert euler_result(coefficient_series(terms), n) == euler_outcome(terms)
+
+    def test_halfway_mean_is_halfway(self):
+        mean = euler_mean([1.0 + 2.0**-52] * 768)
+        low = float(mean)
+        assert mean - Fraction(low) in (Fraction(math.ulp(low)) / 2, -Fraction(math.ulp(low)) / 2)
 
 
 def _weighted(terms, r):
