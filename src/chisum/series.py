@@ -65,6 +65,31 @@ class SeriesSpec:
     fsum of one term).  So where |x| >= 1 and
     |x| |c(k+1) / c(k)| >= 1 + 2**-40, |a_(k+1)| >= |a_k| or a term is
     not finite; summation._settled_sum relies on this.
+
+    moment_bound, when present, is a function m -> a bound on
+    |E_m - A(r)| for every r in (0, 1], where E_m is the (E,1) mean
+    sum_{i<=m} b_i P(Bin(m+1, 1/2) > i) of the first m + 1 weighted terms
+    b_k = a_k r**k, and A(r) = sum b_k (at r = 1, the series' Abel
+    value).  summation.abel_estimate stops by it.  Proof, once for the
+    three series that carry one: on the geometric series y**k the mean
+    is E_m = (1 - u**(m+1)) / (1 - y) with u = (1 + y) / 2, since
+    sum_{i<X} y**i = (1 - y**X) / (1 - y) and E[y**X] = u**(m+1) for X
+    of law Bin(m+1, 1/2) (Hardy, Divergent Series, ch. 8); so its error
+    is e(y) = u**(m+1) / (2 - 2u).  On y in [-1, 0], u is in [0, 1/2],
+    and e and its derivative are nonnegative and grow with u, so
+    e <= 2**-(m+1) and 0 <= e' <= (m+2) 2**-(m+1), their values at y = 0.
+    - grandi, b_k = (-r)**k: the error is e(-r) <= 2**-(m+1).
+    - alt_log, a_k = (-1)**k log(k+1) = int_0^1 ((-1)**k - (-t)**k) dnu(t)
+      with dnu = dt / (-ln t) (Frullani): E_m and A are linear, so the
+      error is int (e(-r) - e(-rt)) dnu, by the mean value theorem at
+      most int r (1 - t) (m+2) 2**-(m+1) dnu <= (m+2) ln 2 2**-(m+1), as
+      int_0^1 (1 - t) / (-ln t) dt = ln 2.
+    - alt_harmonic_numbers, a_k = (-1)**k H_(k+1), with
+      H_(k+1) = int_0^1 (1 - t**(k+1)) / (1 - t) dt: the error is
+      int ((e(-r) - e(-rt)) / (1 - t) + e(-rt)) dt, its integrand at most
+      (m+2) 2**-(m+1) + 2**-(m+1), so at most (m+3) 2**-(m+1).
+    Each bound is of the stream as it is indexed here (a_0 the first
+    term), and a replace() that changes the terms keeps it.
     """
 
     name: str
@@ -76,6 +101,7 @@ class SeriesSpec:
         tuple[tuple[float, Callable[[int], tuple[int, int]], float, float], ...]
     ] = field(default=None, repr=False)
     asymptotic_only: bool = False
+    moment_bound: Optional[Callable[[int], float]] = field(default=None, repr=False)
 
 
 class _Constant(tuple):
@@ -164,7 +190,12 @@ def _geometric(x: float) -> SeriesSpec:
 def _grandi(name: str = "grandi") -> SeriesSpec:
     # The Grandi series is geometric at x = -1; the cycle is cheaper per
     # term than x**k.
-    return replace(_geometric(-1.0), name=name, terms=lambda: cycle((1.0, -1.0)))
+    return replace(
+        _geometric(-1.0),
+        name=name,
+        terms=lambda: cycle((1.0, -1.0)),
+        moment_bound=lambda m: 2.0 ** -(m + 1),
+    )
 
 
 def _alt_harmonic_numbers() -> SeriesSpec:
@@ -172,6 +203,7 @@ def _alt_harmonic_numbers() -> SeriesSpec:
         name="alt_harmonic_numbers",
         terms=lambda: map(mul, cycle((1.0, -1.0)), harmonic_numbers()),
         exact_value=math.log(2.0) / 2.0,
+        moment_bound=lambda m: (m + 3) * 2.0 ** -(m + 1),
     )
 
 
@@ -180,6 +212,7 @@ def _alt_log() -> SeriesSpec:
         name="alt_log",
         terms=lambda: map(mul, cycle((1.0, -1.0)), map(math.log, count(1.0))),
         exact_value=0.5 * math.log(2.0 / math.pi),
+        moment_bound=lambda m: (m + 2) * math.log(2.0) * 2.0 ** -(m + 1),
     )
 
 

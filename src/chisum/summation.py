@@ -16,8 +16,13 @@ A map of the routes; the docstring of the function named proves each:
 - euler_transform: fixed point over the band of binomial weights that
   are neither 0 nor 1 (_euler_part, sized by _euler_fixed, settled by
   _settle); the exact dot over _binomial_tails where P is large against
-  n or no pass settles;
-- cesaro_mean and abel_estimate.
+  n or no pass settles; both through _euler_mean;
+- abel_estimate on a series with a moment bound (grandi,
+  alternating_unit, alt_log, alt_harmonic_numbers): at each radius the
+  Euler mean of the first m + 1 weighted terms, m doubled until the
+  bound proves it (_abel_moments); on any other series, blocks of the
+  weighted terms summed to a tail threshold;
+- cesaro_mean.
 """
 
 from __future__ import annotations
@@ -910,6 +915,19 @@ def _euler_fixed(a: Sequence[float], n: int) -> Optional[float]:
         return None
 
 
+def _euler_mean(a: Sequence[float], n: int) -> float:
+    """E_n of the double terms a = a_0..a_n, correctly rounded: by
+    _euler_fixed, else the exact dot over _binomial_tails; nan where a
+    term is not finite."""
+    mean = _euler_fixed(a, n)
+    if mean is None:
+        try:
+            mean = rounded_dot(a, _binomial_tails(n), 1 << (n + 1))
+        except (OverflowError, ValueError):  # inf and nan have no ratio
+            mean = math.nan
+    return mean
+
+
 def euler_transform(spec: SeriesSpec, n: int) -> float:
     """(E,1) mean of a_0..a_n, the Euler transform
     sum_{j=0..n} (-1)^j (D^j b)(0) / 2^(j+1) of b_k = (-1)^k a_k, with D
@@ -934,19 +952,15 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     """
     n = _order(n)
     a = list(islice(spec.terms(), n + 1))
-    mean = _euler_fixed(a, n)
-    if mean is None:
-        try:
-            mean = rounded_dot(a, _binomial_tails(n), 1 << (n + 1))
-        except (OverflowError, ValueError):  # inf and nan have no ratio
-            mean = math.nan
-    return _checked(mean, spec, n, f"Euler mean overflows at order {n}")
+    return _checked(_euler_mean(a, n), spec, n, f"Euler mean overflows at order {n}")
 
 
 # Abel's inner series ends once its rest falls below _ABEL_TOL of the
-# running sum, and fails after _ABEL_TERMS terms.
+# running sum, and fails after _ABEL_TERMS terms.  A series with a
+# moment bound starts its Euler mean at order _ABEL_FIRST.
 _ABEL_TOL = 1e-16
 _ABEL_TERMS = 10**6
+_ABEL_FIRST = 4
 
 
 def _abel_tail(spec: SeriesSpec, r: float, k: int) -> float:
@@ -974,21 +988,54 @@ def _small_pair(block: list, hi: float, before: bool) -> int:
     return next(compress(count(1), map(and_, chain((before,), small), small)), 0)
 
 
+def _abel_moments(spec: SeriesSpec, r: float) -> float:
+    """A(r) for a series with a moment bound: E_m, the correctly rounded
+    (E,1) mean (_euler_mean) of the m + 1 double terms a_k * r**k, at the
+    first m of _ABEL_FIRST, 2 _ABEL_FIRST, 4 _ABEL_FIRST, ... whose
+    spec.moment_bound(m) is at most _ABEL_TOL |E_m|.  So A(r) lies within
+    that bound (proved in the SeriesSpec docstring) of the Abel sum of
+    the exact terms, plus the rounding of the m + 1 double terms.  No
+    Euler weight exceeds 1, so |E_m| <= sum |b_k|, and E_m is computed
+    only at orders whose bound is within _ABEL_TOL of that sum.  Each
+    catalog bound is 0.0 in double by m = 2048 and the catalog's terms
+    are finite, so the doubling ends."""
+    weighted = map(mul, spec.terms(), map(pow, repeat(r), count()))
+    m, b = _ABEL_FIRST, list(islice(weighted, _ABEL_FIRST + 1))
+    while True:
+        bound = spec.moment_bound(m)
+        if bound <= _ABEL_TOL * math.fsum(map(abs, b)):
+            mean = _euler_mean(b, m)
+            if bound <= _ABEL_TOL * abs(mean):
+                return mean
+        b.extend(islice(weighted, m))
+        m *= 2
+
+
 def abel_estimate(
     spec: SeriesSpec, radii: Sequence[float], extrapolate: bool = False
 ) -> float:
-    """Abel-style evaluation: A(r) = sum a_k r^k at each radius, by
-    truncation once the rest falls below 1e-16 of the running sum.
+    """Abel-style evaluation: A(r) = sum a_k r^k at each radius.
 
-    Each radius reads a fresh stream in blocks of 2, 4, ... up to 512
-    terms weighted by the running products r**k; math.fsum adds each
-    block to hi + lo, which carries the sum of the weighted terms read
-    to about 106 bits, hi rounded to double.  A series with a rational
-    form stops at the end of a block whose last term and rest, bounded
-    in closed form (_abel_tail), fall below the threshold, so a run of
-    zero coefficients does not end the sum.  Any other series stops at
-    its first two consecutive terms below it (_small_pair), wherever in
-    a block they fall: an asymptotic series' small terms may not last.
+    A series with a moment bound (grandi, alternating_unit, alt_log,
+    alt_harmonic_numbers) takes A(r) as the Euler mean of its first
+    m + 1 weighted terms, m doubled from _ABEL_FIRST until the proven
+    bound on the mean's error falls below 1e-16 of it (_abel_moments):
+    65 terms a radius at the CLI's radii.  Its value is then the Abel
+    sum of the exact series to within that bound and the rounding of
+    the double terms, not a truncation of the double series.
+
+    Any other series reads a fresh stream at each radius in blocks of
+    2, 4, ... up to 512 terms weighted by the running products r**k, by
+    truncation once the rest falls below 1e-16 of the running sum;
+    math.fsum adds each block to hi + lo, which carries the sum of the
+    weighted terms read to about 106 bits, hi rounded to double.  A
+    series with a rational form stops at the end of a block whose last
+    term and rest, bounded in closed form (_abel_tail), fall below the
+    threshold, so a run of zero coefficients does not end the sum.  Any
+    other series stops at its first two consecutive terms below it
+    (_small_pair), wherever in a block they fall: an asymptotic series'
+    small terms may not last.
+
     Returns A at the last radius, or the linear extrapolation of the
     last two values in (1 - r) -> 0 when extrapolate is set.  Raises
     AbelRadiusError when a term or the running sum of the inner series
@@ -1004,6 +1051,9 @@ def abel_estimate(
 
     values = []
     for r in rs:
+        if spec.moment_bound:
+            values.append(_abel_moments(spec, r))
+            continue
         # map pulls one power per term it reads, so the powers are the
         # running products 1, r, r*r, ... however the blocks fall.
         weighted = map(mul, spec.terms(), accumulate(repeat(r), mul, initial=1.0))

@@ -55,7 +55,7 @@ from chisum.summation import (
 )
 from chisum.special import bernoulli_numbers, harmonic
 from chisum.weights import averaging_row, chi_row, exp_approx_gap
-from oracles import euler_mean
+from oracles import DEFINITIONS, abel_sum, euler_mean, moment_mean
 
 
 def coefficient_series(coeffs):
@@ -1857,6 +1857,11 @@ def _per_term_abel(spec, r):
     return math.fsum(weighted)
 
 
+def _blocks(name):
+    """The catalog series name without its moment bound."""
+    return dataclasses.replace(catalog_lookup(name), moment_bound=None)
+
+
 class TestAbel:
     def test_grandi_extrapolated(self):
         v = abel_estimate(
@@ -1872,7 +1877,15 @@ class TestAbel:
         # sum_k (-1)^k H_{k+1} r^k = log(1 + r) / (r (1 + r)).
         r = 0.999
         v = abel_estimate(catalog_lookup("alt_harmonic_numbers"), (r,))
-        assert v == pytest.approx(math.log1p(r) / (r * (1.0 + r)), rel=1e-12)
+        want = math.log1p(r) / (r * (1.0 + r))
+        assert v == pytest.approx(want, rel=0, abs=6 * math.ulp(want))
+
+    def test_grandi_next_to_one(self):
+        # The moment route reads 65 terms at any radius; the block loop
+        # would need more than 10**6 here.
+        r = 0.99999999
+        v = abel_estimate(catalog_lookup("grandi"), (r,))
+        assert v == pytest.approx(1.0 / (1.0 + r), rel=0, abs=2 * math.ulp(v))
 
     def test_stream_that_ends_is_a_radius_error(self):
         # bernoulli_power has 61 terms; at r=0.9 the tail needs more.
@@ -1938,7 +1951,8 @@ class TestAbel:
 
     @given(
         spec=st.one_of(
-            st.sampled_from([catalog_lookup("grandi"), catalog_lookup("alt_log")]),
+            # Without their moment bounds, so that they take the block loop.
+            st.sampled_from([_blocks("grandi"), _blocks("alt_log")]),
             st.floats(-0.95, 0.95).map(lambda x: catalog_lookup("geometric", x=x)),
             st.floats(-0.25, 0.25).map(
                 lambda x: catalog_lookup("bernoulli_power", x=x)
@@ -1951,7 +1965,7 @@ class TestAbel:
         ),
         r=st.floats(0.5, 0.999),
     )
-    @example(spec=catalog_lookup("alt_log"), r=0.999)
+    @example(spec=_blocks("alt_log"), r=0.999)
     @example(spec=catalog_lookup("bernoulli_power", x=0.15), r=0.99)
     @settings(max_examples=40, deadline=None)
     def test_matches_a_per_term_sum_to_the_same_order(self, spec, r):
@@ -1990,10 +2004,10 @@ class TestAbel:
             abel_estimate(spec, (0.9, 0.99, 0.999), extrapolate=True)
 
     def test_radius_too_close_to_one(self):
-        # Grandi's terms times r**k stay above the tail threshold for more
-        # than 10**6 terms at this radius.
+        # The Grandi stream without its moment bound: its terms times r**k
+        # stay above the tail threshold for more than 10**6 terms.
         with pytest.raises(AbelRadiusError, match="did not reach its tail threshold"):
-            abel_estimate(catalog_lookup("grandi"), (0.99999999,))
+            abel_estimate(catalog_lookup("geometric", x=-1.0), (0.99999999,))
 
     def test_geometric_minus2_not_abel_summable(self):
         with pytest.raises(AbelRadiusError):
@@ -2011,6 +2025,59 @@ class TestAbel:
             abel_estimate(g, (0.99, 0.9))
         with pytest.raises(DomainError):
             abel_estimate(g, (1.5,))
+
+
+MOMENT_SERIES = tuple(DEFINITIONS)
+CLI_RADII = (0.9, 0.99, 0.999)
+
+
+class TestAbelMoments:
+    @pytest.mark.parametrize("name", MOMENT_SERIES)
+    def test_bound_holds_at_low_order(self, name):
+        # The exact mean of the exact weighted terms against a direct sum
+        # of the series, both in mpmath (tests/oracles.py), at orders where
+        # the error is far above the oracles' own.
+        bound = catalog_lookup(name).moment_bound
+        for r in (0.3, 0.5, 0.9, 0.99, 0.999):
+            for m in (4, 6, 8, 12, 16, 24, 32):
+                error = abs(moment_mean(name, r, m) - abel_sum(name, r))
+                assert error <= bound(m), (r, m)
+
+    @pytest.mark.parametrize("name", MOMENT_SERIES)
+    def test_value_at_the_cli_radii_is_the_bounded_mean(self, name):
+        # Each radius's value is the correctly rounded mean of the double
+        # terms it read, and lies within the bound, the terms' rounding and
+        # half an ulp of the Abel sum; the three radii read 195 terms.
+        base = catalog_lookup(name)
+        read = []
+
+        def terms():
+            for t in base.terms():
+                read.append(t)
+                yield t
+
+        spec, total = dataclasses.replace(base, terms=terms), 0
+        for r in CLI_RADII:
+            read.clear()
+            v = abel_estimate(spec, (r,))
+            b, m = [a * r**k for k, a in enumerate(read)], len(read) - 1
+            total += len(read)
+            mean = euler_mean(b)
+            assert v == float(mean)
+            assert base.moment_bound(m) <= 1e-16 * abs(v)
+            rounding = abs(mean - moment_mean(name, r, m))
+            error = abs(Fraction(v) - abel_sum(name, r))
+            assert error <= base.moment_bound(m) + rounding + Fraction(math.ulp(v)) / 2
+        assert total <= 200
+
+    def test_only_the_catalog_streams_carry_a_bound(self):
+        grandi, unit = catalog_lookup("grandi"), catalog_lookup("alternating_unit")
+        assert [grandi.moment_bound(m) for m in (4, 64)] == [2.0**-5, 2.0**-65]
+        assert [unit.moment_bound(m) for m in (4, 64)] == [2.0**-5, 2.0**-65]
+        value = abel_estimate(grandi, CLI_RADII, extrapolate=True)
+        assert abel_estimate(unit, CLI_RADII, extrapolate=True) == value
+        assert catalog_lookup("geometric", x=-1.0).moment_bound is None
+        assert combine([grandi], [1.0]).moment_bound is None
 
 
 @pytest.mark.parametrize(
