@@ -13,15 +13,18 @@ A map of the routes; the docstring of the function named proves each:
   coefficient bound past double range, or a sum _settle leaves open;
 - chi_sum and chi_limit on any other series: a double sum of the term
   stream under the weight row (_guarded_sum);
-- euler_transform: fixed point over the band of binomial weights that
-  are neither 0 nor 1 (_euler_part, sized by _euler_fixed, settled by
-  _settle); the exact dot over _binomial_tails where P is large against
-  n or no pass settles; both through _euler_mean;
-- abel_estimate on a series with a moment bound (grandi,
-  alternating_unit, alt_log, alt_harmonic_numbers): at each radius the
-  Euler mean of the first m + 1 weighted terms, m doubled until the
-  bound proves it (_abel_moments); on any other series, blocks of the
-  weighted terms summed to a tail threshold;
+- euler_transform and abel_estimate on a series with a moment bound
+  (grandi, alternating_unit, geometric at x = -1, alt_log,
+  alt_harmonic_numbers): the Euler mean of the first m + 1 terms,
+  weighted by r**k at each Abel radius, m doubled until the bound
+  proves it (_moment_mean): 65 terms for each of these series;
+- euler_transform on any other series, or at an order n below that m:
+  fixed point over the band of binomial weights that are neither 0
+  nor 1 (_euler_part, sized by _euler_fixed, settled by _settle); the
+  exact dot over _binomial_tails where P is large against n or no pass
+  settles; both through _euler_mean, the one Euler kernel;
+- abel_estimate on any other series: blocks of the weighted terms
+  summed to a tail threshold;
 - cesaro_mean.
 """
 
@@ -931,7 +934,7 @@ def _euler_mean(a: Sequence[float], n: int) -> float:
 def euler_transform(spec: SeriesSpec, n: int) -> float:
     """(E,1) mean of a_0..a_n, the Euler transform
     sum_{j=0..n} (-1)^j (D^j b)(0) / 2^(j+1) of b_k = (-1)^k a_k, with D
-    the forward difference; exact in the double terms, rounded once.
+    the forward difference.
 
     Expanding the differences gives one weighted sum,
     E_n = sum_i a_i * T_i / 2^(n+1) with T_i = sum_{m=i+1..n+1} C(n+1, m),
@@ -943,21 +946,41 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     rounded_dot puts the terms over one power-of-two denominator and
     _binomial_tails walks T_0..T_n, n steps on (n+1)-bit integers, so
     O(n**2) bit operations.  Both give the correctly rounded mean of the
-    double terms.  Its error is then the rounding of the terms: on
-    alt_log at n = 100..2000 it is 12 to 190 ulp from a 60-digit mean of
-    the exact terms (the difference table's was 5 to 156).  A term that
-    is not finite raises NumericError naming its index; a mean past
-    double range raises NumericError, and a non-integer n, or n < 1,
-    DomainError.
+    double terms (_euler_mean), whose error is the rounding of the
+    terms: on alt_log at n = 100..2000 it is 12 to 190 ulp from a
+    60-digit mean of the exact terms.
+
+    A series with a moment bound (grandi, alternating_unit, geometric at
+    x = -1, alt_log, alt_harmonic_numbers) takes instead E_m, the
+    correctly rounded mean of its first m + 1 double terms, at the first
+    m of 4, 8, 16, ... up to n whose bound(m) + bound(n) is at most 1e-16
+    of it (_moment_mean): m = 64, 65 terms, for each of these series at
+    every n >= 64.  The bound holds at r = 1, so the exact series' E_m and
+    E_n each lie within their own bound of its value, and E_n within
+    bound(m) + bound(n) of E_m.  The value is then the (E,1) mean of the
+    exact series to within that bound, plus the rounding of the m + 1
+    double terms, not the rounded mean of the n + 1 double terms: 8.8
+    ulp (alt_log) and 6.8 ulp (alt_harmonic_numbers) from a 40-digit mean
+    of the exact terms at every n >= 64.  Where no m up to n has such a
+    bound (n < 64 for these series), the mean is of the n + 1 double
+    terms as above.
+
+    A term that is not finite raises NumericError naming its index; a
+    mean past double range raises NumericError, and a non-integer n, or
+    n < 1, DomainError.
     """
     n = _order(n)
-    a = list(islice(spec.terms(), n + 1))
-    return _checked(_euler_mean(a, n), spec, n, f"Euler mean overflows at order {n}")
+    if spec.moment_bound:
+        mean = _moment_mean(spec, spec.terms(), n)
+    else:
+        mean = _euler_mean(list(islice(spec.terms(), n + 1)), n)
+    return _checked(mean, spec, n, f"Euler mean overflows at order {n}")
 
 
 # Abel's inner series ends once its rest falls below _ABEL_TOL of the
-# running sum, and fails after _ABEL_TERMS terms.  A series with a
-# moment bound starts its Euler mean at order _ABEL_FIRST.
+# running sum, and fails after _ABEL_TERMS terms.  On a series with a
+# moment bound, Abel's and Euler's mean (_moment_mean) starts at order
+# _ABEL_FIRST and stops once its bound is below _ABEL_TOL of it.
 _ABEL_TOL = 1e-16
 _ABEL_TERMS = 10**6
 _ABEL_FIRST = 4
@@ -988,27 +1011,33 @@ def _small_pair(block: list, hi: float, before: bool) -> int:
     return next(compress(count(1), map(and_, chain((before,), small), small)), 0)
 
 
-def _abel_moments(spec: SeriesSpec, r: float) -> float:
-    """A(r) for a series with a moment bound: E_m, the correctly rounded
-    (E,1) mean (_euler_mean) of the m + 1 double terms a_k * r**k, at the
-    first m of _ABEL_FIRST, 2 _ABEL_FIRST, 4 _ABEL_FIRST, ... whose
-    spec.moment_bound(m) is at most _ABEL_TOL |E_m|.  So A(r) lies within
-    that bound (proved in the SeriesSpec docstring) of the Abel sum of
-    the exact terms, plus the rounding of the m + 1 double terms.  No
-    Euler weight exceeds 1, so |E_m| <= sum |b_k|, and E_m is computed
-    only at orders whose bound is within _ABEL_TOL of that sum.  Each
-    catalog bound is 0.0 in double by m = 2048 and the catalog's terms
-    are finite, so the doubling ends."""
-    weighted = map(mul, spec.terms(), map(pow, repeat(r), count()))
-    m, b = _ABEL_FIRST, list(islice(weighted, _ABEL_FIRST + 1))
-    while True:
-        bound = spec.moment_bound(m)
+def _moment_mean(spec: SeriesSpec, terms: Iterator[float], n: int) -> float:
+    """E_m, the correctly rounded (E,1) mean (_euler_mean) of the first
+    m + 1 values b_k of terms, at the first m of _ABEL_FIRST, 2 _ABEL_FIRST,
+    4 _ABEL_FIRST, ... up to n whose spec.moment_bound(m) +
+    spec.moment_bound(n) is at most _ABEL_TOL |E_m|; where there is none,
+    E_n, the mean of the first n + 1.  For euler_transform, terms are
+    spec's terms and n its order; for abel_estimate, the terms weighted
+    by r**k and n = _ABEL_TERMS, its block loop's limit, where each
+    catalog bound is 0.0.  No Euler weight exceeds 1, so
+    |E_m| <= sum |b_k|, and E_m is computed only at orders whose bound
+    is within _ABEL_TOL of that sum.  Each catalog bound falls with m and
+    is 0.0 in double by m = 2048, and the catalog's terms are finite, so
+    the doubling ends there at the latest.  The proof that the bound
+    holds is in the SeriesSpec docstring; what it gives each method is
+    in abel_estimate's and euler_transform's."""
+    bound_n = spec.moment_bound(n)
+    m, b = _ABEL_FIRST, []
+    while m <= n:
+        b.extend(islice(terms, m + 1 - len(b)))
+        bound = spec.moment_bound(m) + bound_n
         if bound <= _ABEL_TOL * math.fsum(map(abs, b)):
             mean = _euler_mean(b, m)
             if bound <= _ABEL_TOL * abs(mean):
                 return mean
-        b.extend(islice(weighted, m))
         m *= 2
+    b.extend(islice(terms, n + 1 - len(b)))
+    return _euler_mean(b, n)
 
 
 def abel_estimate(
@@ -1016,13 +1045,13 @@ def abel_estimate(
 ) -> float:
     """Abel-style evaluation: A(r) = sum a_k r^k at each radius.
 
-    A series with a moment bound (grandi, alternating_unit, alt_log,
-    alt_harmonic_numbers) takes A(r) as the Euler mean of its first
-    m + 1 weighted terms, m doubled from _ABEL_FIRST until the proven
-    bound on the mean's error falls below 1e-16 of it (_abel_moments):
-    65 terms a radius at the CLI's radii.  Its value is then the Abel
-    sum of the exact series to within that bound and the rounding of
-    the double terms, not a truncation of the double series.
+    A series with a moment bound (grandi, alternating_unit, geometric at
+    x = -1, alt_log, alt_harmonic_numbers) takes A(r) as the Euler mean
+    of its first m + 1 weighted terms, m doubled from _ABEL_FIRST until
+    the proven bound on the mean's error falls below 1e-16 of it
+    (_moment_mean): 65 terms a radius at the CLI's radii.  Its value is
+    then the Abel sum of the exact series to within that bound and the
+    rounding of the double terms, not a truncation of the double series.
 
     Any other series reads a fresh stream at each radius in blocks of
     2, 4, ... up to 512 terms weighted by the running products r**k, by
@@ -1052,7 +1081,8 @@ def abel_estimate(
     values = []
     for r in rs:
         if spec.moment_bound:
-            values.append(_abel_moments(spec, r))
+            weighted = map(mul, spec.terms(), map(pow, repeat(r), count()))
+            values.append(_moment_mean(spec, weighted, _ABEL_TERMS))
             continue
         # map pulls one power per term it reads, so the powers are the
         # running products 1, r, r*r, ... however the blocks fall.

@@ -1,8 +1,11 @@
 """Oracles outside the library: each computes a method's value from its
 definition, without calling chisum, for the tests to check the library
 and its pins against: exactly, in Fractions from math.comb, or in mpmath
-far past double precision."""
+far past double precision.  counted records the terms a method reads,
+and moment_tolerance says how far a moment-bounded mean of them may lie
+from the exact series' value."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -85,3 +88,26 @@ def moment_mean(name: str, r: float, m: int, digits: int = 40) -> Fraction:
         terms = zip(count(), DEFINITIONS[name](), tails)
         total = mpmath.fsum(a * mpmath.mpf(r) ** k * t for k, a, t in terms)
         return _fraction(total / mpmath.mpf(2) ** (m + 1))
+
+
+def moment_tolerance(name: str, r: float, terms, bound: float, value: float) -> Fraction:
+    """How far value, the correctly rounded (E,1) mean of the double
+    weighted terms b_0..b_m of the series name at radius r, may lie from
+    any V that the exact terms' mean E_m lies within bound of: bound,
+    plus the rounding of the double terms (the distance of their exact
+    mean from E_m), plus half an ulp of value."""
+    rounding = abs(euler_mean(terms) - moment_mean(name, r, len(terms) - 1))
+    return Fraction(bound) + rounding + Fraction(math.ulp(value)) / 2
+
+
+def counted(spec):
+    """(spec, read) with spec's streams appending each term they yield to
+    the list read, for a test to see which terms a method reads."""
+    read = []
+
+    def terms():
+        for t in spec.terms():
+            read.append(t)
+            yield t
+
+    return dataclasses.replace(spec, terms=terms), read

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import cycle, islice
+from itertools import cycle, islice, pairwise
 from operator import mul
 from pathlib import Path
 from unittest import mock
@@ -55,11 +55,24 @@ from chisum.summation import (
 )
 from chisum.special import bernoulli_numbers, harmonic
 from chisum.weights import averaging_row, chi_row, exp_approx_gap
-from oracles import DEFINITIONS, abel_sum, euler_mean, moment_mean
+from oracles import (
+    DEFINITIONS,
+    abel_sum,
+    counted,
+    euler_mean,
+    moment_mean,
+    moment_tolerance,
+)
 
 
 def coefficient_series(coeffs):
     return catalog_lookup("custom", coefficients=list(coeffs))
+
+
+def _blocks(name, **params):
+    """The catalog series name without its moment bound, so that Euler
+    takes the mean of all n + 1 double terms and Abel its block loop."""
+    return dataclasses.replace(catalog_lookup(name, **params), moment_bound=None)
 
 
 class TestChiSum:
@@ -1591,7 +1604,7 @@ def euler_series(draw):
         )
     )
     if kind == "geometric":
-        return catalog_lookup(kind, x=draw(st.floats(min_value=-1.9, max_value=0.9)))
+        return _blocks(kind, x=draw(st.floats(min_value=-1.9, max_value=0.9)))
     if kind == "custom":
         coeffs = draw(
             st.lists(
@@ -1599,7 +1612,7 @@ def euler_series(draw):
             )
         )
         return coefficient_series(coeffs)
-    return catalog_lookup(kind)
+    return _blocks(kind)
 
 
 class TestEulerTransform:
@@ -1626,7 +1639,7 @@ class TestEulerTransform:
     def test_no_overflow_past_1024(self, name, n):
         # 2^(n+1) and the binomial tails T_i leave double range from n of
         # about 1024, as the unscaled forward differences D^j b do.
-        spec = catalog_lookup(name)
+        spec = _blocks(name)
         assert abs(euler_transform(spec, n) - spec.exact_value) <= 1e-12
 
     @given(euler_series(), st.integers(min_value=1, max_value=200))
@@ -1639,8 +1652,8 @@ class TestEulerTransform:
     @pytest.mark.parametrize(
         "spec",
         [
-            catalog_lookup("alt_log"),
-            catalog_lookup("alt_harmonic_numbers"),
+            _blocks("alt_log"),
+            _blocks("alt_harmonic_numbers"),
             catalog_lookup("geometric", x=-0.5),
         ],
         ids=["alt_log", "alt_harmonic_numbers", "geometric(-0.5)"],
@@ -1709,6 +1722,7 @@ class TestEulerOracle:
     # At these orders the fixed point's band of weights at its P, about
     # 100 bits, leaves a block of terms below it (weight 1) and one above
     # it (weight 0); at n = 5000 the band holds about a sixth of them.
+    # The series carry no moment bound here, so each takes the band.
     @pytest.mark.parametrize("n", [1024, 1100, 2000, 5000])
     @pytest.mark.parametrize(
         "name, params",
@@ -1722,7 +1736,7 @@ class TestEulerOracle:
         ids=["alt_log", "alt_harmonic_numbers", "grandi", "geometric(-1.9)", "geometric(0.9)"],
     )
     def test_catalog_series(self, name, params, n):
-        spec = catalog_lookup(name, **params)
+        spec = _blocks(name, **params)
         terms = list(islice(spec.terms(), n + 1))
         assert euler_result(spec, n) == euler_outcome(terms)
 
@@ -1785,15 +1799,15 @@ class TestEulerKernel:
     @pytest.mark.parametrize("n", [250, 1024, 1500, 2000])
     @pytest.mark.parametrize("name", ["alt_log", "alt_harmonic_numbers", "grandi"])
     def test_settles_in_one_pass(self, monkeypatch, name, n):
-        # The benchmark's Euler series: one pass at the P _euler_fixed
-        # sizes, no exact dot.
+        # The benchmark's Euler series, on the double terms, without their
+        # moment bounds: one pass at the P _euler_fixed sizes, no exact dot.
         passes = []
         monkeypatch.setattr(
             "chisum.summation._euler_part",
             lambda *a: passes.append(a[-1]) or _euler_part(*a),
         )
         monkeypatch.setattr("chisum.summation._binomial_tails", None)
-        spec = catalog_lookup(name)
+        spec = _blocks(name)
         assert euler_result(spec, n) == euler_outcome(list(islice(spec.terms(), n + 1)))
         assert len(passes) == 1
 
@@ -1857,11 +1871,6 @@ def _per_term_abel(spec, r):
     return math.fsum(weighted)
 
 
-def _blocks(name):
-    """The catalog series name without its moment bound."""
-    return dataclasses.replace(catalog_lookup(name), moment_bound=None)
-
-
 class TestAbel:
     def test_grandi_extrapolated(self):
         v = abel_estimate(
@@ -1880,11 +1889,16 @@ class TestAbel:
         want = math.log1p(r) / (r * (1.0 + r))
         assert v == pytest.approx(want, rel=0, abs=6 * math.ulp(want))
 
-    def test_grandi_next_to_one(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [catalog_lookup("grandi"), catalog_lookup("geometric", x=-1.0)],
+        ids=["grandi", "geometric(-1)"],
+    )
+    def test_grandi_next_to_one(self, spec):
         # The moment route reads 65 terms at any radius; the block loop
         # would need more than 10**6 here.
         r = 0.99999999
-        v = abel_estimate(catalog_lookup("grandi"), (r,))
+        v = abel_estimate(spec, (r,))
         assert v == pytest.approx(1.0 / (1.0 + r), rel=0, abs=2 * math.ulp(v))
 
     def test_stream_that_ends_is_a_radius_error(self):
@@ -2007,7 +2021,7 @@ class TestAbel:
         # The Grandi stream without its moment bound: its terms times r**k
         # stay above the tail threshold for more than 10**6 terms.
         with pytest.raises(AbelRadiusError, match="did not reach its tail threshold"):
-            abel_estimate(catalog_lookup("geometric", x=-1.0), (0.99999999,))
+            abel_estimate(_blocks("grandi"), (0.99999999,))
 
     def test_geometric_minus2_not_abel_summable(self):
         with pytest.raises(AbelRadiusError):
@@ -2029,6 +2043,13 @@ class TestAbel:
 
 MOMENT_SERIES = tuple(DEFINITIONS)
 CLI_RADII = (0.9, 0.99, 0.999)
+# Every catalog series that carries a moment bound: the last two are the
+# Grandi stream under other names.
+BOUNDED = {
+    **{name: catalog_lookup(name) for name in MOMENT_SERIES},
+    "alternating_unit": catalog_lookup("alternating_unit"),
+    "geometric(-1)": catalog_lookup("geometric", x=-1.0),
+}
 
 
 class TestAbelMoments:
@@ -2048,36 +2069,60 @@ class TestAbelMoments:
         # Each radius's value is the correctly rounded mean of the double
         # terms it read, and lies within the bound, the terms' rounding and
         # half an ulp of the Abel sum; the three radii read 195 terms.
-        base = catalog_lookup(name)
-        read = []
-
-        def terms():
-            for t in base.terms():
-                read.append(t)
-                yield t
-
-        spec, total = dataclasses.replace(base, terms=terms), 0
+        spec, read = counted(catalog_lookup(name))
+        total = 0
         for r in CLI_RADII:
             read.clear()
             v = abel_estimate(spec, (r,))
             b, m = [a * r**k for k, a in enumerate(read)], len(read) - 1
             total += len(read)
-            mean = euler_mean(b)
-            assert v == float(mean)
-            assert base.moment_bound(m) <= 1e-16 * abs(v)
-            rounding = abs(mean - moment_mean(name, r, m))
-            error = abs(Fraction(v) - abel_sum(name, r))
-            assert error <= base.moment_bound(m) + rounding + Fraction(math.ulp(v)) / 2
+            assert v == float(euler_mean(b))
+            assert spec.moment_bound(m) <= 1e-16 * abs(v)
+            tol = moment_tolerance(name, r, b, spec.moment_bound(m), v)
+            assert abs(Fraction(v) - abel_sum(name, r)) <= tol
         assert total <= 200
 
     def test_only_the_catalog_streams_carry_a_bound(self):
-        grandi, unit = catalog_lookup("grandi"), catalog_lookup("alternating_unit")
-        assert [grandi.moment_bound(m) for m in (4, 64)] == [2.0**-5, 2.0**-65]
-        assert [unit.moment_bound(m) for m in (4, 64)] == [2.0**-5, 2.0**-65]
+        grandi = catalog_lookup("grandi")
         value = abel_estimate(grandi, CLI_RADII, extrapolate=True)
-        assert abel_estimate(unit, CLI_RADII, extrapolate=True) == value
-        assert catalog_lookup("geometric", x=-1.0).moment_bound is None
+        for spec in (grandi, BOUNDED["alternating_unit"], BOUNDED["geometric(-1)"]):
+            assert [spec.moment_bound(m) for m in (4, 64)] == [2.0**-5, 2.0**-65]
+            assert abel_estimate(spec, CLI_RADII, extrapolate=True) == value
+        for x in (-0.999, -0.5, 0.5):
+            assert catalog_lookup("geometric", x=x).moment_bound is None
         assert combine([grandi], [1.0]).moment_bound is None
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    def test_each_bound_falls_to_zero_by_2048(self, name):
+        # The doubling of _moment_mean ends because each bound is
+        # non-increasing in m and 0.0 in double by m = 2048.
+        bounds = list(map(BOUNDED[name].moment_bound, range(2049)))
+        assert all(b >= c for b, c in pairwise(bounds))
+        assert bounds[-1] == 0.0
+
+
+class TestEulerMoments:
+    @pytest.mark.parametrize("n", [64, 100, 1024, 2000, 5000])
+    @pytest.mark.parametrize("name", MOMENT_SERIES)
+    def test_value_is_the_bounded_mean_of_the_exact_series(self, name, n):
+        # The value is the correctly rounded mean of the m + 1 double terms
+        # it read, at most 129 of them, and lies within bound(m) + bound(n),
+        # those terms' rounding and half an ulp of the exact series' E_n.
+        spec, read = counted(catalog_lookup(name))
+        v = euler_transform(spec, n)
+        m = len(read) - 1
+        assert m <= 128
+        assert v == float(euler_mean(read))
+        bound = spec.moment_bound(m) + spec.moment_bound(n)
+        tol = moment_tolerance(name, 1.0, read, bound, v)
+        assert abs(Fraction(v) - moment_mean(name, 1.0, n)) <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 31, 32, 63])
+    @pytest.mark.parametrize("name", MOMENT_SERIES)
+    def test_below_64_the_mean_of_the_double_terms(self, name, n):
+        spec = catalog_lookup(name)
+        terms = list(islice(spec.terms(), n + 1))
+        assert euler_transform(spec, n) == float(euler_mean(terms))
 
 
 @pytest.mark.parametrize(
