@@ -5,10 +5,12 @@ A SeriesSpec bundles one term stream, a fresh iterator over a_0, a_1,
 ... per call, with whatever reference data is known for it: an exact
 value (limit or antilimit), the second derivative of the generating
 function at the evaluation point (for the asymptotic error predictor),
-and, when every term is rational, the exact form the summation engine
-uses when double precision cancels out.  Every consumer reads the terms
-in order from one stream, so a term that builds on the one before it
-(a harmonic number) costs O(1).
+and, when every term is rational, the exact form from which chi_sum,
+chi_limit and chi_sweep compute every S_n of the series, whether or not
+double precision would cancel, and abel_estimate bounds the tail of its
+inner series.  Every consumer reads the terms in order from one stream,
+so a term that builds on the one before it (a harmonic number) costs
+O(1).
 """
 
 from __future__ import annotations
@@ -189,8 +191,11 @@ def _geometric(x: float) -> SeriesSpec:
         # Grandi's bound holds for every x in [-1, 0); it is set at x = -1
         # only, a choice timed for Abel over the CLI radii: the block loop
         # is the faster for x in (-0.85, 0), the moment route for x in
-        # (-1, -0.85], which stays on the block loop for now.  Euler's
-        # route was not timed for x in (-1, 0).
+        # (-1, -0.85], which stays on the block loop for now.  Euler
+        # without the bound takes the exact dot over all n + 1 terms: at
+        # x = -0.5 about 4 ms at n = 2000 and 38 ms at n = 10,000,
+        # against 0.04-0.07 ms for the 65 terms the bound would read
+        # (2 CPUs, Python 3.11).
         moment_bound=(lambda m: 2.0 ** -(m + 1)) if x == -1.0 else None,
     )
 

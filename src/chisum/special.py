@@ -20,7 +20,7 @@ __all__ = [
     "bernoulli_numbers",
     "harmonic",
     "harmonic_numbers",
-    "trigamma",
+    "trigamma",  # bernoulli_gen_fn needs it
     "bernoulli_gen_fn",
     "solve_kappa",
 ]

@@ -19,10 +19,9 @@ A map of the routes; the docstring of the function named proves each:
   weighted by r**k at each Abel radius, m doubled until the bound
   proves it (_moment_mean): 65 terms for each of these series;
 - euler_transform on any other series, or at an order n below that m:
-  fixed point over the band of binomial weights that are neither 0
-  nor 1 (_euler_part, sized by _euler_fixed, settled by _settle); the
-  exact dot over _binomial_tails where P is large against n or no pass
-  settles; both through _euler_mean, the one Euler kernel;
+  the mean of the n + 1 terms;
+- every Euler mean, on either route: the exact dot over
+  _binomial_tails, rounded once (_euler_mean, the one Euler kernel);
 - abel_estimate on any other series: blocks of the weighted terms
   summed to a tail threshold;
 - cesaro_mean.
@@ -787,148 +786,13 @@ def _binomial_tails(n: int) -> Iterator[int]:
         tail -= binom
 
 
-def _floor_scaled(x: float, s: int) -> int:
-    """floor(x * 2**s) for a finite double x."""
-    p, q = x.as_integer_ratio()
-    return (p << s) // q if s >= 0 else p // (q << -s)
-
-
-def _abs_sum_up(values: Sequence[float], s: int) -> int:
-    """An int at least 2**s times the exact sum of |values|, from their
-    float sum: a float sum of m nonnegative doubles is at least the exact
-    one over 1 + m 2**-52.  A value that is not finite raises
-    OverflowError or ValueError."""
-    total = -_floor_scaled(-sum(map(abs, values)), s)  # rounded up
-    return (total * ((1 << 52) + len(values)) >> 52) + 1
-
-
-def _euler_part(a: Sequence[float], n: int, bits: int) -> tuple[int, int, int]:
-    """(A, E, e) for the Euler mean E_n = sum_i a_i w_i of the double
-    terms a = a_0..a_n at precision P = bits, as _fixed_part returns
-    them: E_n lies in [(A - E) * 2**e, (A + E) * 2**e].
-
-    The weights w_i = sum_{m>i} p_m are the tails of the binomial pmf
-    p_m = C(N, m) / 2**N, N = n + 1, whose mode is M = N // 2.  At the
-    unit 2**-P the pmf starts from q_M = floor(C(N, M) 2**(P-N)) (one
-    math.comb) and walks outward, q_(m+1) = floor(q_m (N-m) / (m+1)) up
-    and q_(m-1) = floor(q_m m / (N-m+1)) down, to the first q that is 0,
-    at m_hi above and m_lo below (N + 1 and -1 where the walk reaches the
-    end).  No ratio exceeds 1, so each floor adds at most one unit to
-    what the q before it lacks: 0 <= p_m 2**P - q_m < |m - M| + 1.  Past
-    the walk the ratios keep falling, so sum_{m>=m_hi} p_m is at most
-    p_(m_hi) (m_hi + 1) / (2 m_hi + 1 - N), and sum_{m<=m_lo} p_m, by
-    the symmetry p_m = p_(N-m), at most
-    p_(m_lo) (N - m_lo + 1) / (N - 2 m_lo + 1): tau_hi and tau_lo units,
-    rounded up.
-
-    So for i < M the weight 2**P - sum_{m_lo<m<=i} q_m is at most
-    eps_lo = tau_lo + J (J + 3) / 2 units above the exact one, J the q's
-    walked below M, and for i >= M the weight sum_{i<m<m_hi} q_m at most
-    eps_hi = tau_hi + H (H + 3) / 2 below it, H those walked above.  The
-    weight is 2**P for i <= m_lo and 0 for i >= m_hi - 1, so only the
-    band between reads its terms one at a time.  A is 2**P (hi + lo),
-    hi + lo the terms below M summed by two fsums (within 2**-53 |lo| of
-    their sum), less each band term below M times its running sum of q,
-    plus each band term from M on times its running sum from m_hi down.
-    The band's terms are whole at the unit 2**-k, k = 53 less the binary
-    exponent of its smallest nonzero |a_i|, so A's unit is 2**-(P+k).  E
-    is eps_lo times a bound on sum_{i<M} |a_i| plus eps_hi times one on
-    sum_{i>=M} |a_i| (_abs_sum_up), so a large term past the band widens
-    E by its own size and can still decide the mean; plus 2**-53 |lo|
-    and 2 for the floors of hi and lo.  Where the band's terms span more
-    exponents than a double holds, ldexp raises OverflowError; a term
-    that is not finite raises OverflowError or ValueError.
-    """
-    N, M = n + 1, (n + 1) // 2
-    mode = math.comb(N, M)
-    mode = mode >> (N - bits) if N >= bits else mode << (bits - N)
-    below, t = [], mode  # q_(M-1), q_(M-2), ..., q_(m_lo+1)
-    for m in range(M, 0, -1):
-        t = t * m // (N - m + 1)
-        if not t:
-            break
-        below.append(t)
-    above, t = [], mode  # q_(M+1), ..., q_(m_hi-1)
-    for m in range(M, N):
-        t = t * (N - m) // (m + 1)
-        if not t:
-            break
-        above.append(t)
-    j, h = len(below), len(above)
-    m_lo, m_hi = M - 1 - j, M + 1 + h
-    eps_lo, eps_hi = j * (j + 3) // 2, h * (h + 3) // 2
-    if m_lo >= 0:  # + tau_lo, -(-x // y) rounding x / y up
-        eps_lo += -(-(M - m_lo + 1) * (N - m_lo + 1) // (N - 2 * m_lo + 1))
-    if m_hi <= N:
-        eps_hi += -(-(m_hi - M + 1) * (m_hi + 1) // (2 * m_hi + 1 - N))
-    head, tail = a[:M], a[M:]
-    low, high = a[m_lo + 1 : M], a[M : m_hi - 1]
-    small = min(filter(None, map(abs, chain(low, high))), default=1.0)
-    k = 53 - math.frexp(small)[1]
-    s = bits + k
-    hi = math.fsum(head)
-    lo = math.fsum(chain(head, (-hi,)))
-    lo_units = _floor_scaled(lo, s)
-    total = _floor_scaled(hi, s) + lo_units
-    whole = map(int, map(math.ldexp, low, repeat(k)))
-    total -= sum(map(mul, whole, accumulate(reversed(below))))
-    whole = map(int, map(math.ldexp, reversed(high), repeat(k)))
-    total += sum(map(mul, whole, accumulate(reversed(above))))
-    err = eps_lo * _abs_sum_up(head, k) + eps_hi * _abs_sum_up(tail, k)
-    return total, err + (abs(lo_units) >> 53) + 3, -s
-
-
-# Euler's mean takes the fixed-point kernel while _EULER_RATIO times its
-# precision is at most n + 1.  Below that the exact dot over
-# _binomial_tails is as fast or faster (2 CPUs, Python 3.11): grandi,
-# whose terms are small integers, at n = 100, 150 and 200 takes 42, 63
-# and 80 us exact against 54, 68 and 81 us in fixed point at P = 88-89,
-# and the fixed point wins from n = 250 (93 against 102 us); alt_log
-# wins from n = 100 (68 against 77 us) and by 1.5x at n = 200.
-_EULER_RATIO = 2
-
-
-def _euler_fixed(a: Sequence[float], n: int) -> Optional[float]:
-    """E_n of the terms a, correctly rounded, from _euler_part settled by
-    _settle; None where a term is not finite, P is past
-    (n + 1) / _EULER_RATIO, the band's terms span more exponents than a
-    double holds, or no pass settles (a mean of 0, or one halfway
-    between two doubles).
-
-    E is at most about n P / 4 units per unit of sum |a_i|, so P is
-    64 + 2 log2(n) guard bits over log2(sum |a_i| / S), with S the scale
-    E_n is guessed at: the larger of |a_0 + ... + a_(M-1)| and |a_M| / 2.
-    E_n is the binomial average of the partial sums around M, and those
-    of an alternating series swing about their limit by half a term.  A
-    sum that cancels far below that goes to the exact dot at once:
-    geometric x = -1.9 at n = 1000, with terms up to 1e278, gets P = 550.
-    """
-    m = (n + 1) // 2
-    l1 = sum(map(abs, a))  # inf or nan where a term is not finite
-    scale = max(abs(sum(a[:m])), abs(a[m]) / 2)
-    if not (math.isfinite(l1) and 0.0 < scale < math.inf):
-        return None
-    bits = 64 + 2 * n.bit_length()
-    bits += max(0, math.ceil(math.log2(l1) - math.log2(scale)))
-    if _EULER_RATIO * bits > n + 1:
-        return None
-    try:
-        return _settle([(_euler_part, a, bits)], n)
-    except OverflowError:  # ldexp past double range
-        return None
-
-
 def _euler_mean(a: Sequence[float], n: int) -> float:
-    """E_n of the double terms a = a_0..a_n, correctly rounded: by
-    _euler_fixed, else the exact dot over _binomial_tails; nan where a
-    term is not finite."""
-    mean = _euler_fixed(a, n)
-    if mean is None:
-        try:
-            mean = rounded_dot(a, _binomial_tails(n), 1 << (n + 1))
-        except (OverflowError, ValueError):  # inf and nan have no ratio
-            mean = math.nan
-    return mean
+    """E_n of the double terms a = a_0..a_n, correctly rounded: the exact
+    dot over _binomial_tails; nan where a term is not finite."""
+    try:
+        return rounded_dot(a, _binomial_tails(n), 1 << (n + 1))
+    except (OverflowError, ValueError):  # inf and nan have no ratio
+        return math.nan
 
 
 def euler_transform(spec: SeriesSpec, n: int) -> float:
@@ -939,16 +803,15 @@ def euler_transform(spec: SeriesSpec, n: int) -> float:
     Expanding the differences gives one weighted sum,
     E_n = sum_i a_i * T_i / 2^(n+1) with T_i = sum_{m=i+1..n+1} C(n+1, m),
     since sum_{j=i..n} C(j, i) / 2^(j+1) = P(Bin(n+1, 1/2) >= i+1)
-    (Hardy, Divergent Series, ch. 8).  Where its terms allow,
-    _euler_fixed settles E_n in fixed point over the band of weights
-    that are neither 0 nor 1 at P bits (_euler_part): O(n) term reads at
-    C speed and O(sqrt(n P)) steps on P-bit integers.  Otherwise
-    rounded_dot puts the terms over one power-of-two denominator and
-    _binomial_tails walks T_0..T_n, n steps on (n+1)-bit integers, so
-    O(n**2) bit operations.  Both give the correctly rounded mean of the
-    double terms (_euler_mean), whose error is the rounding of the
-    terms: on alt_log at n = 100..2000 it is 12 to 190 ulp from a
-    60-digit mean of the exact terms.
+    (Hardy, Divergent Series, ch. 8).  _euler_mean computes it, the one
+    Euler kernel: rounded_dot puts the terms over one power-of-two
+    denominator, _binomial_tails walks T_0..T_n, n steps on (n+1)-bit
+    integers, so O(n**2) bit operations (geometric x = -0.5: about 4 ms
+    at n = 2000 and 38 ms at n = 10,000, 2 CPUs, Python 3.11), and the
+    exact dot is rounded once.  That is the correctly rounded mean of the
+    double terms, whose error is the rounding of the terms: on alt_log at
+    n = 100..2000 it is 12 to 190 ulp from a 60-digit mean of the exact
+    terms.
 
     A series with a moment bound (grandi, alternating_unit, geometric at
     x = -1, alt_log, alt_harmonic_numbers) takes instead E_m, the
@@ -1000,12 +863,6 @@ def _small_pair(block: list, hi: float, before: bool) -> int:
     """The count of block's terms, summed on from hi, up to the first that
     and the term before it (for the first, `before`) are both at or below
     _ABEL_TOL of the running sum; 0 when there is none."""
-    # No running sum exceeds |hi| + len * max|t|, and a pair of terms has
-    # one at an even index: when none of those is at or below twice
-    # _ABEL_TOL of that bound, the per-term scan is skipped.
-    bound = abs(hi) + len(block) * math.hypot(*block)
-    if abs(min(block[::2], key=abs)) > 2 * _ABEL_TOL * bound:
-        return 0
     sums = islice(accumulate(block, initial=hi), 1, None)
     small = list(map(le, map(abs, block), map(mul, map(abs, sums), repeat(_ABEL_TOL))))
     return next(compress(count(1), map(and_, chain((before,), small), small)), 0)

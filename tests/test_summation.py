@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,8 +33,6 @@ from chisum.summation import (
     DIVERGING,
     INCONCLUSIVE,
     _closed_part,
-    _euler_fixed,
-    _euler_part,
     _exact_sum,
     _fixed_bits,
     _fixed_part,
@@ -1716,27 +1715,41 @@ def euler_result(spec, n) -> str:
 # Values that put a term's exponent at either end of double range.
 EXTREMES = (1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-320, 1.0, -1.0, 0.0)
 
+# The orders of TestEulerOracle's catalog cases; the last two series take
+# 1024 and 2000 only, which keeps the test's time down.
+EULER_ORDERS = (1024, 1100, 2000, 5000)
+
 
 class TestEulerOracle:
     # euler_transform against the exact mean from math.comb (tests/oracles.py).
-    # At these orders the fixed point's band of weights at its P, about
-    # 100 bits, leaves a block of terms below it (weight 1) and one above
-    # it (weight 0); at n = 5000 the band holds about a sixth of them.
-    # The series carry no moment bound here, so each takes the band.
-    @pytest.mark.parametrize("n", [1024, 1100, 2000, 5000])
+    # None of these series carries a moment bound (_blocks drops the
+    # catalog's), so each mean is the exact dot over all n + 1 double
+    # terms, whose binomial weights fall from about 1 at the first terms
+    # to below 2**-1000 at the last.
     @pytest.mark.parametrize(
-        "name, params",
+        "spec, n",
         [
-            ("alt_log", {}),
-            ("alt_harmonic_numbers", {}),
-            ("grandi", {}),
-            ("geometric", {"x": -1.9}),
-            ("geometric", {"x": 0.9}),
+            pytest.param(spec, n, id=f"{label}-{n}")
+            for label, spec, orders in [
+                ("alt_log", _blocks("alt_log"), EULER_ORDERS),
+                ("alt_harmonic_numbers", _blocks("alt_harmonic_numbers"), EULER_ORDERS),
+                ("grandi", _blocks("grandi"), EULER_ORDERS),
+                ("geometric(-1.9)", catalog_lookup("geometric", x=-1.9), EULER_ORDERS),
+                ("geometric(0.9)", catalog_lookup("geometric", x=0.9), EULER_ORDERS),
+                ("log1p_taylor(0.5)", catalog_lookup("log1p_taylor", x=0.5), EULER_ORDERS[::2]),
+                (
+                    "geometric(-0.5)+alt_log",
+                    combine(
+                        [catalog_lookup("geometric", x=-0.5), catalog_lookup("alt_log")],
+                        [1.0, 1.0],
+                    ),
+                    EULER_ORDERS[::2],
+                ),
+            ]
+            for n in orders
         ],
-        ids=["alt_log", "alt_harmonic_numbers", "grandi", "geometric(-1.9)", "geometric(0.9)"],
     )
-    def test_catalog_series(self, name, params, n):
-        spec = _blocks(name, **params)
+    def test_catalog_series(self, spec, n):
         terms = list(islice(spec.terms(), n + 1))
         assert euler_result(spec, n) == euler_outcome(terms)
 
@@ -1745,14 +1758,14 @@ class TestEulerOracle:
         st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=8),
         st.booleans(),
     )
-    @example(600, [1e300, 1e-300, 5e-324], True)  # huge terms below the band
-    @example(600, [1.0, 1e-300, 1e300], True)  # a huge block above it
-    @example(600, [-1.0, 1.0, 5e-324, 1e-300, 1.0], False)  # in the band
+    @example(600, [1e300, 1e-300, 5e-324], True)  # huge terms at weight about 1
+    @example(600, [1.0, 1e-300, 1e300], True)  # a huge block at weights near 0
+    @example(600, [-1.0, 1.0, 5e-324, 1e-300, 1.0], False)  # tiny ones near n / 2
     @settings(max_examples=60, deadline=None)
     def test_terms_at_the_ends_of_double_range(self, n, blocks, alternate):
         # Consecutive blocks of the terms take each value in turn, so the
-        # terms below, in and above the band mix 1e300, 1e-300 and
-        # subnormals in every way.
+        # terms at weights near 1, near 1/2 and near 0 mix 1e300, 1e-300
+        # and subnormals in every way.
         terms = [
             blocks[i * len(blocks) // (n + 1)] * (-1.0 if alternate and i & 1 else 1.0)
             for i in range(n + 1)
@@ -1760,61 +1773,10 @@ class TestEulerOracle:
         assert euler_result(coefficient_series(terms), n) == euler_outcome(terms)
 
 
-def check_euler_bound(terms, bits):
-    """_euler_part's (A, E, e) for the terms at P = bits against their
-    exact mean: within E units of A at the unit 2**e.  At a few bits the
-    band of weights is narrow or empty, so this checks the bound itself,
-    not only a rounded result."""
-    a, err, e = _euler_part(terms, len(terms) - 1, bits)
-    assert abs(euler_mean(terms) * Fraction(2) ** -e - a) <= err
-
-
-@st.composite
-def euler_terms(draw):
-    """n + 1 terms: a catalog series, or doubles m 2**e with |m| < 2**53
-    and e in [-553, 347], whose exponents span no more than the kernel's
-    band can hold (about 970 binades)."""
-    n = draw(st.integers(min_value=1, max_value=400))
-    kind = draw(st.sampled_from(("alt_log", "grandi", "geometric", "doubles")))
-    if kind == "doubles":
-        mantissa = st.integers(-(2**53) + 1, 2**53 - 1)
-        return [
-            math.ldexp(draw(mantissa), draw(st.integers(-553, 347)))
-            for _ in range(n + 1)
-        ]
-    x = draw(st.floats(-2.5, 1.0)) if kind == "geometric" else None
-    spec = catalog_lookup(kind, x=x) if x is not None else catalog_lookup(kind)
-    return list(islice(spec.terms(), n + 1))
-
-
 class TestEulerKernel:
-    @given(euler_terms(), st.integers(min_value=4, max_value=40))
-    @example([5e-324, -2.5e-320, 1e-310] * 67, 4)  # subnormals only
-    # A lone 1.7e308 past the band: its own size widens E.
-    @example([(-1.0) ** i for i in range(150)] + [1.7e308] + [0.0] * 50, 20)
-    @settings(max_examples=150, deadline=None)
-    def test_bound_holds_at_low_precision(self, terms, bits):
-        check_euler_bound(terms, bits)
-
-    @pytest.mark.parametrize("n", [250, 1024, 1500, 2000])
-    @pytest.mark.parametrize("name", ["alt_log", "alt_harmonic_numbers", "grandi"])
-    def test_settles_in_one_pass(self, monkeypatch, name, n):
-        # The benchmark's Euler series, on the double terms, without their
-        # moment bounds: one pass at the P _euler_fixed sizes, no exact dot.
-        passes = []
-        monkeypatch.setattr(
-            "chisum.summation._euler_part",
-            lambda *a: passes.append(a[-1]) or _euler_part(*a),
-        )
-        monkeypatch.setattr("chisum.summation._binomial_tails", None)
-        spec = _blocks(name)
-        assert euler_result(spec, n) == euler_outcome(list(islice(spec.terms(), n + 1)))
-        assert len(passes) == 1
-
-    def test_cancellation_goes_to_the_exact_dot(self, monkeypatch):
+    def test_cancellation_goes_to_the_exact_dot(self):
         # geometric(-1.9) at n = 1000: terms up to 1e278 and a mean of
-        # 1.3e144, sized at P = 550, past (n + 1) / 2.
-        monkeypatch.setattr("chisum.summation._euler_part", None)
+        # 1.3e144, the rounded mean of the double terms.
         spec = catalog_lookup("geometric", x=-1.9)
         terms = list(islice(spec.terms(), 1001))
         assert euler_result(spec, 1000) == euler_outcome(terms) == "1.3462879452940162e+144"
@@ -1825,17 +1787,14 @@ class TestEulerKernel:
             [0.0] * 1001,
             # 384 (1 + 2**-52): exactly halfway between two doubles.
             [1.0 + 2.0**-52] * 768,
-            # A lone 1.7e308 at order 1500 of 2000, far above the band at
-            # the P of about 100 bits that the other terms would get; its
-            # weight, about 2**-383, makes the mean about 8e192, and its
-            # size sends P past (n + 1) / 2.
+            # A lone 1.7e308 at order 1500 of 2000 among terms of size 1:
+            # its weight, about 2**-383, makes the mean about 8e192.
             [(-1.0) ** i for i in range(1500)] + [1.7e308] + [0.0] * 500,
         ],
         ids=["zero", "halfway", "lone-1.7e308"],
     )
-    def test_fixed_point_falls_back(self, terms):
+    def test_zero_halfway_and_lone_huge_means(self, terms):
         n = len(terms) - 1
-        assert _euler_fixed(terms, n) is None
         assert euler_result(coefficient_series(terms), n) == euler_outcome(terms)
 
     def test_halfway_mean_is_halfway(self):
@@ -2137,3 +2096,11 @@ class TestEulerMoments:
 def test_order_out_of_range(call):
     with pytest.raises(DomainError, match=r"need n1? >= [01], got -?[01]$"):
         call()
+
+
+def test_route_map_names_what_the_module_has():
+    # The module docstring maps each route to the function that proves it,
+    # so a kernel deleted without its line would leave the map stale.
+    names = set(re.findall(r"\b_[A-Za-z]\w*", chisum.summation.__doc__))
+    assert "_euler_mean" in names
+    assert sorted(name for name in names if not hasattr(chisum.summation, name)) == []
