@@ -33,6 +33,7 @@ from chisum.summation import (
     DIVERGING,
     INCONCLUSIVE,
     _closed_part,
+    _euler_mean,
     _exact_sum,
     _fixed_bits,
     _fixed_part,
@@ -1773,7 +1774,49 @@ class TestEulerOracle:
         assert euler_result(coefficient_series(terms), n) == euler_outcome(terms)
 
 
+@st.composite
+def euler_terms(draw):
+    """n + 1 terms: a catalog series, or doubles m 2**e with |m| < 2**53
+    and e anywhere from the subnormals to the top of double range, so
+    that the terms can span every binade a double has."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    kind = draw(st.sampled_from(("alt_log", "grandi", "geometric", "doubles")))
+    if kind == "doubles":
+        mantissa = st.integers(-(2**53) + 1, 2**53 - 1)
+        return [
+            math.ldexp(draw(mantissa), draw(st.integers(-1074, 971)))
+            for _ in range(n + 1)
+        ]
+    x = draw(st.floats(-2.5, 1.0)) if kind == "geometric" else None
+    spec = catalog_lookup(kind, x=x) if x is not None else catalog_lookup(kind)
+    return list(islice(spec.terms(), n + 1))
+
+
 class TestEulerKernel:
+    @given(euler_terms())
+    @example([5e-324, -2.5e-320, 1e-310] * 67)  # subnormals only
+    # Terms whose exponents span more binades than a double holds.
+    @example(list(islice(catalog_lookup("geometric", x=1.9e-23).terms(), 40)))
+    @example([(-1.0) ** i for i in range(150)] + [1.7e308] + [0.0] * 50)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_dot_on_drawn_terms(self, terms):
+        n = len(terms) - 1
+        assert euler_result(coefficient_series(terms), n) == euler_outcome(terms)
+
+    @pytest.mark.parametrize("n", [250, 1024, 1500, 2000])
+    @pytest.mark.parametrize("name", ["alt_log", "alt_harmonic_numbers", "grandi"])
+    def test_settles_in_one_pass(self, monkeypatch, name, n):
+        # The benchmark's Euler series, on the double terms, without their
+        # moment bounds: one exact dot over the n + 1 terms, no retry.
+        passes = []
+        monkeypatch.setattr(
+            "chisum.summation._euler_mean",
+            lambda a, m: passes.append((len(a), m)) or _euler_mean(a, m),
+        )
+        spec = _blocks(name)
+        assert euler_result(spec, n) == euler_outcome(list(islice(spec.terms(), n + 1)))
+        assert passes == [(n + 1, n)]
+
     def test_cancellation_goes_to_the_exact_dot(self):
         # geometric(-1.9) at n = 1000: terms up to 1e278 and a mean of
         # 1.3e144, the rounded mean of the double terms.
